@@ -31,8 +31,9 @@
 // Writes BENCH_oncall_hotpath.json next to the working directory, including a
 // machine block (hw_concurrency, cpu model, governor) so numbers from different
 // runners are never compared blind. The baseline_pre_pr block holds the wall-ns
-// numbers measured at commit 6196949 (pre hot-path rework) on the same harness
-// so every run reports the trajectory.
+// numbers measured at commit 6196949 (pre hot-path rework) on the same harness,
+// and the history block earlier runs of this harness on named machines, so every
+// run reports the trajectory.
 //
 // Env overrides: TSVD_BENCH_ITERS (per-thread calls, default 1'000'000),
 // TSVD_BENCH_MAX_THREADS (default 64), TSVD_BENCH_SKIP_OVERSUBSCRIBED (default
@@ -78,6 +79,29 @@ constexpr Baseline kPrePrBaseline[] = {
     {"no_trap", {445.5, 715.6, 1545.0, 3339.7}},
     {"nearmiss_heavy", {339.2, 762.5, 1216.2, 2496.2}},
     {"trapping", {204.4, 469.3, 859.5, 1725.4}},
+};
+
+constexpr int kThreadCounts[] = {1, 2, 4, 8, 16, 32, 64};
+
+// Earlier runs of this harness: CPU-normalized ns per call in kModes order over the
+// first `columns` entries of kThreadCounts, each the minimum over its repeats (the
+// 4-core rows: 3 runs of 3 repeats, the two builds' runs alternated). Columns above
+// a row's hw_concurrency are oversubscribed estimates, the others measurements.
+struct HistoryRow {
+  const char* label;
+  unsigned hw_concurrency;
+  int columns;
+  double ns_per_call[3][7];
+};
+constexpr HistoryRow kHistory[] = {
+    {"1 vCPU, near-miss shard mutex + per-tid MRU ways", 1, 7,
+     {{97.3, 97.8, 93.4, 92.5, 93.4, 92.6, 94.3},
+      {95.8, 96.7, 96.6, 98.2, 97.4, 101.6, 98.6},
+      {93.9, 101.5, 95.4, 97.8, 97.9, 101.0, 98.3}}},
+    {"4 cores (KVM, Xeon 2.1GHz), near-miss shard mutex + per-tid MRU ways", 4, 3,
+     {{113.2, 146.0, 213.7}, {125.7, 413.6, 702.6}, {130.8, 438.8, 703.7}}},
+    {"4 cores (KVM, Xeon 2.1GHz), per-object history blocks behind a lock-free index", 4,
+     3, {{107.1, 121.3, 123.0}, {90.6, 251.0, 437.7}, {100.2, 258.5, 435.8}}},
 };
 
 // Raw wall microseconds for one mode at one thread count.
@@ -160,9 +184,8 @@ int main() {
   json += "    \"governor\": \"" + governor + "\"\n";
   json += "  },\n";
 
-  const int thread_counts[] = {1, 2, 4, 8, 16, 32, 64};
   std::string oversub_list;
-  for (int tc : thread_counts) {
+  for (int tc : kThreadCounts) {
     if (tc <= max_threads && static_cast<unsigned>(tc) > hw && !skip_oversub) {
       if (!oversub_list.empty()) {
         oversub_list += ", ";
@@ -183,7 +206,7 @@ int main() {
     modes_json += std::string("    \"") + mode.name + "\": {";
     wall_json += std::string("    \"") + mode.name + "\": {";
     bool first_tc = true;
-    for (int tc : thread_counts) {
+    for (int tc : kThreadCounts) {
       if (tc > max_threads) {
         continue;
       }
@@ -238,7 +261,32 @@ int main() {
     }
     json += "}";
   }
-  json += "\n  }\n}\n";
+  json += "\n  },\n";
+  json += "  \"history\": [\n";
+  bool first_row = true;
+  for (const HistoryRow& row : kHistory) {
+    if (!first_row) {
+      json += ",\n";
+    }
+    first_row = false;
+    json += "    {\"label\": \"";
+    json += row.label;
+    json += "\", \"hw_concurrency\": " + std::to_string(row.hw_concurrency);
+    json += ", \"modes\": {";
+    for (int m = 0; m < 3; ++m) {
+      json += m > 0 ? ", \"" : "\"";
+      json += kModes[m].name;
+      json += "\": {";
+      for (int c = 0; c < row.columns; ++c) {
+        json += c > 0 ? ", \"" : "\"";
+        json += std::to_string(kThreadCounts[c]) + "\": " +
+                JsonNumber(row.ns_per_call[m][c]);
+      }
+      json += "}";
+    }
+    json += "}}";
+  }
+  json += "\n  ]\n}\n";
 
   std::FILE* f = std::fopen("BENCH_oncall_hotpath.json", "w");
   if (f != nullptr) {

@@ -8,7 +8,12 @@ HbInference::HbInference(const Config& config, TrapSet& trap_set)
 }
 
 void HbInference::OnAccess(const Access& access) {
-  ThreadState& state = threads_.Get(access.tid);
+  // A thread without a state slot has no timeline, so no stall is inferred for it.
+  ThreadState* slot = threads_.Find(access.tid);
+  if (slot == nullptr) {
+    return;
+  }
+  ThreadState& state = *slot;
 
   // Transitivity window: the next k_hb accesses after an inferred stall also
   // happen-after the delayed location.
@@ -66,7 +71,9 @@ void HbInference::OnDelayFinished(const Access& access, const DelayOutcome& outc
   }
   // The delaying thread was "busy sleeping": advance its own timeline so its next
   // access does not read the sleep as a causal stall caused by someone else.
-  threads_.Get(access.tid).last_access = outcome.end_us;
+  if (ThreadState* state = threads_.Find(access.tid)) {
+    state->last_access = outcome.end_us;
+  }
 }
 
 }  // namespace tsvd

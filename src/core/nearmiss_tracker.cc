@@ -1,59 +1,116 @@
 #include "src/core/nearmiss_tracker.h"
 
-#include <cassert>
+#include <algorithm>
+#include <new>
+#include <thread>
 
 namespace tsvd {
+
+namespace {
+
+// Initial index size. Trackers are built per Runtime (one per test module), and
+// most see a few dozen objects, so the index starts small and grows.
+constexpr size_t kInitialIndexSlots = 64;
+// Blocks allocated per pool chunk.
+constexpr size_t kChunkBlocks = 32;
+// Sweeps run once at least this many objects (and at least as many as are live)
+// were inserted since the last one, so their O(live) cost stays amortized O(1)
+// per new object.
+constexpr size_t kMinInsertsPerSweep = 4096;
+
+}  // namespace
+
+void NearMissTracker::Block::Lock() {
+  // Contention exists only between threads touching the same object at once; spin
+  // briefly, then yield so an oversubscribed holder gets to run.
+  int spins = 0;
+  while (locked.exchange(true, std::memory_order_acquire)) {
+    while (locked.load(std::memory_order_relaxed)) {
+      if (++spins > 64) {
+        std::this_thread::yield();
+      }
+    }
+  }
+}
 
 NearMissTracker::NearMissTracker(const Config& config)
     : window_us_(config.disable_nearmiss_window ? -1 : config.nearmiss_window_us),
       history_(config.disable_nearmiss_window ? config.nearmiss_history_unwindowed
                                               : config.nearmiss_history) {
-  assert(history_ >= 1 && history_ <= kMaxHistory &&
-         "per-object history must fit the inline conflict buffer");
-  if (history_ > kMaxHistory) {
-    history_ = kMaxHistory;  // fail soft in release builds
+  // The ring needs at least one slot and must fit the inline conflict buffer.
+  history_ = std::clamp(history_, 1, kMaxHistory);
+  block_lines_ = (sizeof(Block) + history_ * sizeof(Record) + kCacheLineSize - 1) /
+                 kCacheLineSize;
+  indexes_.push_back(std::make_unique<Index>(kInitialIndexSlots));
+  index_.store(indexes_.back().get(), std::memory_order_release);
+}
+
+NearMissTracker::Block* NearMissTracker::Find(const Index& index, ObjectId obj) {
+  // Bounded so that a probe racing a rewrite of the table cannot spin; a miss only
+  // sends the caller to the locked path.
+  size_t i = Mix64(obj) & index.mask;
+  for (size_t probes = 0; probes <= index.mask; ++probes, i = (i + 1) & index.mask) {
+    const Slot& slot = index.slots[i];
+    Block* block = slot.block.load(std::memory_order_acquire);
+    if (block == nullptr || slot.key.load(std::memory_order_relaxed) == obj) {
+      return block;
+    }
   }
+  return nullptr;
+}
+
+void NearMissTracker::Place(Index& index, ObjectId obj, Block* block) {
+  size_t i = Mix64(obj) & index.mask;
+  while (index.slots[i].block.load(std::memory_order_relaxed) != nullptr) {
+    i = (i + 1) & index.mask;
+  }
+  index.slots[i].key.store(obj, std::memory_order_relaxed);
+  index.slots[i].block.store(block, std::memory_order_release);
 }
 
 void NearMissTracker::RecordAndFindConflicts(const Access& access, ConflictBuffer& out) {
-  Shard& shard = ShardFor(access.obj);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  MruWay& way = MruFor(shard, access.tid);
-  ObjHistory* hist = way.hist;
-  if (way.obj != access.obj || hist == nullptr) {
-    hist = &shard.objects[access.obj];
-    if (hist->ring == nullptr) {
-      // One allocation per object lifetime; later accesses are allocation-free.
-      hist->ring = std::make_unique<Record[]>(history_);
+  Block* block = Find(*index_.load(std::memory_order_acquire), access.obj);
+  if (block != nullptr) {
+    block->Lock();
+    if (!block->Owns(access.obj)) {
+      block->Unlock();  // swept and reused since the index entry was read
+      block = nullptr;
     }
-    way.obj = access.obj;
-    way.hist = hist;
   }
-  ObjHistory& history = *hist;
-
-  // Oldest-to-newest scan preserves the eviction order of the erase-from-front
-  // implementation this replaces (conflicts are reported oldest first).
-  const int start = history.head - history.count + history_;
-  for (int k = 0; k < history.count; ++k) {
-    const Record& rec = history.ring[(start + k) % history_];
-    if (rec.tid == access.tid || !KindsConflict(rec.kind, access.kind)) {
-      continue;
-    }
-    if (window_us_ >= 0 && access.time - rec.time > window_us_) {
-      continue;
-    }
-    out.push_back(NearMiss{rec.op, rec.concurrent});
+  if (block == nullptr) {
+    block = AcquireLocked(access);
   }
 
-  history.ring[history.head] =
-      Record{access.tid, access.op, access.kind, access.time, access.concurrent_phase};
-  history.head = (history.head + 1) % history_;
-  if (history.count < history_) {
-    ++history.count;
+  // Oldest-to-newest scan: conflicts are reported oldest first.
+  const Record* ring = block->ring();
+  int i = block->head - block->count;
+  if (i < 0) {
+    i += history_;
+  }
+  const bool write = access.kind == OpKind::kWrite;
+  for (int k = 0; k < block->count; ++k) {
+    const Record& rec = ring[i];
+    const bool rec_write = (block->writes >> i) & 1;
+    if (rec.tid != access.tid && (write || rec_write) &&
+        (window_us_ < 0 || access.time - rec.time <= window_us_)) {
+      out.push_back(NearMiss{rec.op, ((block->concurrent >> i) & 1) != 0});
+    }
+    if (++i == history_) {
+      i = 0;
+    }
   }
 
-  ++shard.inserts_since_sweep;
-  MaybeSweep(shard, access.time);
+  const int head = block->head;
+  const uint64_t bit = uint64_t{1} << head;
+  block->ring()[head] = Record{access.time, access.op, access.tid};
+  block->writes = write ? block->writes | bit : block->writes & ~bit;
+  block->concurrent =
+      access.concurrent_phase ? block->concurrent | bit : block->concurrent & ~bit;
+  block->head = static_cast<uint8_t>(head + 1 == history_ ? 0 : head + 1);
+  if (block->count < history_) {
+    ++block->count;
+  }
+  block->Unlock();
 }
 
 std::vector<NearMissTracker::NearMiss> NearMissTracker::RecordAndFindConflicts(
@@ -63,34 +120,97 @@ std::vector<NearMissTracker::NearMiss> NearMissTracker::RecordAndFindConflicts(
   return std::vector<NearMiss>(buffer.begin(), buffer.end());
 }
 
-void NearMissTracker::MaybeSweep(Shard& shard, Micros now) {
-  // Objects whose entire history is older than the window can never again produce a
-  // near miss; sweep them occasionally so long runs do not accumulate dead entries.
-  if (window_us_ < 0 || shard.inserts_since_sweep < 4096) {
-    return;
+NearMissTracker::Block* NearMissTracker::AcquireLocked(const Access& access) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // Exact under mu_: nobody else writes the current table. The block is locked
+  // before mu_ is released, so a sweep cannot recycle it in between.
+  Block* block = Find(*indexes_.back(), access.obj);
+  if (block != nullptr) {
+    block->Lock();
+    return block;
   }
-  shard.inserts_since_sweep = 0;
-  // Erasure invalidates the MRU pointers (unordered_map elements are otherwise
-  // pointer-stable, including across rehash).
-  for (auto& way : shard.mru) {
-    way.value = MruWay{};
+  if (window_us_ >= 0 && ++inserted_since_sweep_ >= std::max(kMinInsertsPerSweep, live_)) {
+    Sweep(access.time);
   }
-  for (auto it = shard.objects.begin(); it != shard.objects.end();) {
-    const ObjHistory& history = it->second;
-    const int newest = (history.head - 1 + history_) % history_;
-    const bool stale = history.count == 0 ||
-                       now - history.ring[newest].time > 8 * window_us_;
-    it = stale ? shard.objects.erase(it) : std::next(it);
+  if (4 * (live_ + 1) > 3 * (indexes_.back()->mask + 1)) {
+    Grow();
   }
+  block = NewBlock(access);
+  Place(*indexes_.back(), access.obj, block);
+  ++live_;
+  return block;
+}
+
+NearMissTracker::Block* NearMissTracker::NewBlock(const Access& access) {
+  const size_t pool = access.tid & (kPools - 1);
+  std::vector<Block*>& free = free_[pool];
+  if (free.empty()) {
+    chunks_.push_back(std::make_unique<Line[]>(kChunkBlocks * block_lines_));
+    Line* lines = chunks_.back().get();
+    for (size_t b = kChunkBlocks; b-- > 0;) {
+      Block* block = ::new (static_cast<void*>(&lines[b * block_lines_])) Block;
+      block->pool = static_cast<uint8_t>(pool);
+      free.push_back(block);
+    }
+  }
+  Block* block = free.back();
+  free.pop_back();
+  // A reader holding a stale pointer may be inside the block: reset it under its
+  // lock, which the caller keeps.
+  block->Lock();
+  block->owner = access.obj;
+  block->live = true;
+  block->head = 0;
+  block->count = 0;
+  return block;
+}
+
+void NearMissTracker::Sweep(Micros now) {
+  // Objects whose entire history is older than 8x the window can never again
+  // produce a near miss; their blocks return to the pool.
+  inserted_since_sweep_ = 0;
+  Index& index = *indexes_.back();
+  std::vector<Block*> keep;
+  keep.reserve(live_);
+  for (size_t i = 0; i <= index.mask; ++i) {
+    Block* block = index.slots[i].block.load(std::memory_order_relaxed);
+    if (block == nullptr) {
+      continue;
+    }
+    block->Lock();
+    const int newest = (block->head == 0 ? history_ : block->head) - 1;
+    const bool stale = now - block->ring()[newest].time > 8 * window_us_;
+    block->live = !stale;
+    block->Unlock();
+    (stale ? free_[block->pool] : keep).push_back(block);
+  }
+  // Re-place the survivors in the same table. A reader probing meanwhile may miss
+  // its object; a miss goes to the locked path, which waits for this sweep.
+  for (size_t i = 0; i <= index.mask; ++i) {
+    index.slots[i].block.store(nullptr, std::memory_order_relaxed);
+  }
+  for (Block* block : keep) {
+    Place(index, block->owner, block);
+  }
+  live_ = keep.size();
+}
+
+void NearMissTracker::Grow() {
+  // The old table stays allocated (and valid) for readers that already loaded it.
+  const Index& old = *indexes_.back();
+  auto grown = std::make_unique<Index>(2 * (old.mask + 1));
+  for (size_t i = 0; i <= old.mask; ++i) {
+    if (Block* block = old.slots[i].block.load(std::memory_order_relaxed)) {
+      Place(*grown, old.slots[i].key.load(std::memory_order_relaxed), block);
+    }
+  }
+  indexes_.push_back(std::move(grown));
+  index_.store(indexes_.back().get(), std::memory_order_release);
 }
 
 size_t NearMissTracker::TrackedObjects() const {
-  size_t n = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.objects.size();
-  }
-  return n;
+  std::lock_guard<std::mutex> lock(mu_);
+  return live_;
 }
 
 }  // namespace tsvd

@@ -1,23 +1,37 @@
 // Near-miss tracking (Section 3.4.2).
 //
-// A global hash table, sharded by object id, holds each object's most recent N_nm
-// accesses. A new access forms a near miss with a recorded one if the threads differ,
-// at least one operation is a write, and the two are within T_nm of each other. The
-// paper indexes by the object's hash-code rather than object metadata; we shard by a
-// mixed hash of the same id for scalability (ObjectIds are pointer-derived, so the
-// unmixed id concentrates on few shards — see Mix64 in ids.h).
+// The paper keeps a global table of each object's most recent N_nm accesses. A new
+// access forms a near miss with a recorded one if the threads differ, at least one
+// operation is a write, and the two are within T_nm of each other. The paper indexes
+// by the object's hash-code rather than object metadata; we index by a mixed hash of
+// the same id (ObjectIds are pointer-derived, see Mix64 in ids.h).
 //
-// Hot-path design: each object's history is a fixed-capacity ring buffer allocated
-// once when the object is first seen, and conflicts are reported through a caller-
-// supplied FixedVector. After an object's first access, recording plus the conflict
-// scan performs no heap allocation; the only synchronization is the object's shard
-// mutex (64 shards, well mixed, so effectively uncontended).
+// Every instrumented call updates this table, so its layout decides whether OnCall
+// scales across cores. An access writes only its own object's state:
+//
+//   * The object index is an open-addressing table of history-block pointers that
+//     the hot path reads with plain acquire loads. Inserting a new object, sweeping
+//     stale ones and growing the index happen under one tracker mutex, and all
+//     three are rare.
+//   * Each object's history block carries its own small lock and its own ring of
+//     the object's last N_nm accesses, on cache lines of its own. Threads touching
+//     different objects never write a common line.
+//   * Blocks are pooled and recycled inside the tracker, never freed while it
+//     lives, and a grown index keeps the old table alive too. A pointer read
+//     through a stale index entry therefore always points at some block: the
+//     reader locks it and checks that it still belongs to its object. If it does
+//     not (the block was swept and reused), the reader retries on the locked path,
+//     whose lookup under the tracker mutex is authoritative.
+//
+// After an object's first access, recording plus the conflict scan performs no heap
+// allocation, and conflicts are reported through a caller-supplied FixedVector.
 #ifndef SRC_CORE_NEARMISS_TRACKER_H_
 #define SRC_CORE_NEARMISS_TRACKER_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <new>
 #include <vector>
 
 #include "src/common/config.h"
@@ -30,6 +44,8 @@ namespace tsvd {
 class NearMissTracker {
  public:
   explicit NearMissTracker(const Config& config);
+  NearMissTracker(const NearMissTracker&) = delete;
+  NearMissTracker& operator=(const NearMissTracker&) = delete;
 
   struct NearMiss {
     OpId other_op = kInvalidOp;
@@ -44,7 +60,8 @@ class NearMissTracker {
   using ConflictBuffer = FixedVector<NearMiss, kMaxHistory>;
 
   // Records `access` and appends the conflicting near misses it forms with the
-  // object's recent history to `out` (which the caller keeps on its stack).
+  // object's recent history to `out` (which the caller keeps on its stack), oldest
+  // first.
   void RecordAndFindConflicts(const Access& access, ConflictBuffer& out);
 
   // Convenience wrapper for tests and non-hot-path callers.
@@ -55,56 +72,84 @@ class NearMissTracker {
 
  private:
   struct Record {
-    ThreadId tid;
-    OpId op;
-    OpKind kind;
     Micros time;
-    bool concurrent;
+    OpId op;
+    ThreadId tid;
   };
 
-  // Fixed-capacity ring: `ring[0 .. capacity)` allocated once per object; `head` is
-  // the next write position, `count` saturates at the capacity. Oldest-first
-  // iteration starts at (head - count) mod capacity.
-  struct ObjHistory {
-    std::unique_ptr<Record[]> ring;
-    int head = 0;
-    int count = 0;
+  // One object's history: this header, then `history_` Records, starting on a cache
+  // line of its own. `head` is the next write position and `count` saturates at the
+  // history length; bit i of `writes` / `concurrent` holds the kind / phase flag of
+  // ring slot i (history_ <= 64), which keeps a record at 16 bytes.
+  struct Block {
+    std::atomic<bool> locked{false};
+    bool live = false;  // false while the block sits in the free pool
+    uint8_t head = 0;
+    uint8_t count = 0;
+    uint8_t pool = 0;  // free list the block returns to
+    ObjectId owner = 0;
+    uint64_t writes = 0;
+    uint64_t concurrent = 0;
+
+    Record* ring() { return std::launder(reinterpret_cast<Record*>(this + 1)); }
+    void Lock();
+    void Unlock() { locked.store(false, std::memory_order_release); }
+    bool Owns(ObjectId obj) const { return live && owner == obj; }
+  };
+  static_assert(alignof(Record) <= alignof(Block) && sizeof(Block) % alignof(Record) == 0,
+                "the ring must start aligned right after the block header");
+
+  // Open-addressing table of live blocks, linear probing from Mix64(key), at most
+  // three quarters full. The key sits in the slot so that a probe passing other
+  // objects' slots never reads their blocks, whose lines their own threads write.
+  // Slots are atomics so the hot path can probe while the tracker mutex holder
+  // rewrites them; a key and block read from a slot being rewritten may not match,
+  // which the block-lock validation catches.
+  struct Slot {
+    std::atomic<ObjectId> key{0};
+    std::atomic<Block*> block{nullptr};  // nullptr = empty
+  };
+  struct Index {
+    explicit Index(size_t capacity)
+        : mask(capacity - 1), slots(std::make_unique<Slot[]>(capacity)) {}
+    size_t mask;
+    std::unique_ptr<Slot[]> slots;
   };
 
-  static constexpr size_t kShards = 64;
-  // MRU cache of the last history touched, one way per thread-id residue class
-  // (guarded by the shard mutex; invalidated wholesale on sweep). Accesses have
-  // strong per-object temporal locality *per thread*, so a thread's way usually
-  // replaces the hash lookup with one compare. The single shared entry this
-  // replaces was re-written on every cross-thread object change — under a shared
-  // object pool each thread evicted every other thread's entry, so the "cache"
-  // degenerated into a line all threads dirtied on every call while almost never
-  // hitting. Per-tid ways keep each thread's entry stable (and its writes on its
-  // own line) no matter how the other threads interleave.
-  static constexpr size_t kMruWays = 8;
-  struct MruWay {
-    ObjectId obj = 0;
-    ObjHistory* hist = nullptr;
+  // Unit of block storage: chunks are arrays of whole cache lines.
+  struct alignas(kCacheLineSize) Line {
+    unsigned char bytes[kCacheLineSize];
   };
-  struct alignas(kCacheLineSize) Shard {
-    mutable std::mutex mu;
-    std::unordered_map<ObjectId, ObjHistory> objects;
-    uint64_t inserts_since_sweep = 0;
-    CacheAligned<MruWay> mru[kMruWays];
-  };
-  static_assert(sizeof(Shard) % kCacheLineSize == 0 &&
-                    alignof(Shard) == kCacheLineSize,
-                "near-miss shards must not straddle a neighbor's cache line");
 
-  Shard& ShardFor(ObjectId obj) { return shards_[Mix64(obj) % kShards]; }
-  static MruWay& MruFor(Shard& shard, ThreadId tid) {
-    return shard.mru[(tid - 1) & (kMruWays - 1)].value;
-  }
-  void MaybeSweep(Shard& shard, Micros now);
+  static Block* Find(const Index& index, ObjectId obj);
+  static void Place(Index& index, ObjectId obj, Block* block);
+  // Both return the block of the object locked; AcquireLocked inserts the object
+  // if it is new.
+  Block* AcquireLocked(const Access& access);
+  Block* NewBlock(const Access& access);
+  void Sweep(Micros now);
+  void Grow();
 
   Micros window_us_;  // -1 = unwindowed (Table 3 ablation)
   int history_;
-  Shard shards_[kShards];
+  size_t block_lines_;  // cache lines per block: header plus ring
+
+  // The current table, which the hot path loads and probes without a lock.
+  std::atomic<Index*> index_{nullptr};
+
+  // Everything below is guarded by mu_, on lines apart from the read-only ones above.
+  alignas(kCacheLineSize) mutable std::mutex mu_;
+  std::vector<std::unique_ptr<Index>> indexes_;  // back() is current; the rest retired
+  std::vector<std::unique_ptr<Line[]>> chunks_;  // block storage, never released
+  // Free blocks, pooled by the residue of the ThreadId that inserts the object.
+  // Objects are mostly used by the thread that first touched them; carving each
+  // pool's blocks from chunks of its own keeps one thread's blocks off the lines
+  // next to another's, which the hardware prefetchers would otherwise drag across
+  // cores on every write.
+  static constexpr size_t kPools = 8;
+  std::vector<Block*> free_[kPools];
+  size_t live_ = 0;
+  size_t inserted_since_sweep_ = 0;
 };
 
 }  // namespace tsvd

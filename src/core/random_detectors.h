@@ -27,25 +27,15 @@ namespace internal {
 // Shared per-thread RNG plumbing for the stateless baselines.
 class RandomBase : public Detector {
  protected:
-  explicit RandomBase(const Config& config) : config_(config) {}
+  explicit RandomBase(const Config& config)
+      : config_(config), rngs_(config.seed * 0xd1b54a32d192ed03ULL) {}
 
-  Rng& RngFor(ThreadId tid) {
-    RngSlot& slot = rngs_.Get(tid);
-    if (!slot.initialized) {
-      slot.rng = Rng(config_.seed * 0xd1b54a32d192ed03ULL + tid);
-      slot.initialized = true;
-    }
-    return slot.rng;
-  }
+  Rng& RngFor(ThreadId tid) { return rngs_.For(tid); }
 
   Config config_;
 
  private:
-  struct RngSlot {
-    Rng rng{0};
-    bool initialized = false;
-  };
-  PerThread<RngSlot> rngs_;
+  PerThreadRng rngs_;
 };
 }  // namespace internal
 

@@ -23,21 +23,27 @@ bool TrapSet::AddPair(OpId a, OpId b) {
   }
   const LocationPair pair(a, b);
   const uint64_t enc = EncodePair(pair);
-  PairCache& cache = pair_caches_.Get(CurrentThreadId());
-  const uint64_t epoch = removal_epoch_.load(std::memory_order_acquire);
-  if (cache.epoch != epoch) {
-    cache.epoch = epoch;
-    std::fill(std::begin(cache.entries), std::end(cache.entries), uint64_t{0});
-  }
-  const size_t slot = Mix64(enc) & (kPairCacheSlots - 1);
-  if (cache.entries[slot] == enc) {
-    return false;  // known no-op for this epoch: present, HB-pruned, or caught
+  // A thread without a cache slot always takes the locked path.
+  PairCache* cache = pair_caches_.Find(CurrentThreadId());
+  size_t slot = 0;
+  if (cache != nullptr) {
+    const uint64_t epoch = removal_epoch_.load(std::memory_order_acquire);
+    if (cache->epoch != epoch) {
+      cache->epoch = epoch;
+      std::fill(std::begin(cache->entries), std::end(cache->entries), uint64_t{0});
+    }
+    slot = Mix64(enc) & (kPairCacheSlots - 1);
+    if (cache->entries[slot] == enc) {
+      return false;  // known no-op for this epoch: present, HB-pruned, or caught
+    }
   }
   std::lock_guard<std::mutex> lock(mu_);
   const bool added = AddPairLocked(pair);
   // Whether freshly added or already known, the pair is now a member (or permanently
   // blocked): further AddPair calls are no-ops until a removal bumps the epoch.
-  cache.entries[slot] = enc;
+  if (cache != nullptr) {
+    cache->entries[slot] = enc;
+  }
   return added;
 }
 

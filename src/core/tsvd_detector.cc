@@ -6,16 +6,8 @@ TsvdDetector::TsvdDetector(const Config& config)
     : config_(config),
       trap_set_(config),
       nearmiss_(config),
-      hb_(config, trap_set_) {}
-
-Rng& TsvdDetector::RngFor(ThreadId tid) {
-  RngSlot& slot = rngs_.Get(tid);
-  if (!slot.initialized) {
-    slot.rng = Rng(config_.seed * 0x9e3779b97f4a7c15ULL + tid);
-    slot.initialized = true;
-  }
-  return slot.rng;
-}
+      hb_(config, trap_set_),
+      rngs_(config.seed * 0x9e3779b97f4a7c15ULL) {}
 
 DelayDecision TsvdDetector::OnCall(const Access& access) {
   // HB inference first: a stall observed *now* should block the pair this very access
@@ -40,7 +32,7 @@ DelayDecision TsvdDetector::OnCall(const Access& access) {
 
   // should_delay: probabilistic, per location, only for trap-set members.
   const double p = trap_set_.Prob(access.op);
-  if (p > 0.0 && RngFor(access.tid).NextBool(p)) {
+  if (p > 0.0 && rngs_.For(access.tid).NextBool(p)) {
     return DelayDecision{true, config_.delay_us};
   }
   return DelayDecision{};

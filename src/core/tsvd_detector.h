@@ -13,9 +13,7 @@
 #include <string>
 
 #include "src/common/config.h"
-#include "src/common/padded.h"
 #include "src/common/per_thread.h"
-#include "src/common/rng.h"
 #include "src/core/detector.h"
 #include "src/core/hb_inference.h"
 #include "src/core/nearmiss_tracker.h"
@@ -42,24 +40,11 @@ class TsvdDetector : public Detector {
   uint64_t InferredHbEdges() const { return hb_.InferredEdges(); }
 
  private:
-  // Line-aligned: the RNG state advances on every should_delay draw, and dense
-  // ThreadIds would otherwise pack 2-3 threads' slots onto one cache line — a
-  // false-sharing hotspot on exactly the workloads where the trap set is hot
-  // (every thread drawing on every call). See src/common/padded.h.
-  struct alignas(kCacheLineSize) RngSlot {
-    Rng rng{0};
-    bool initialized = false;
-  };
-  static_assert(sizeof(RngSlot) % kCacheLineSize == 0 &&
-                    alignof(RngSlot) == kCacheLineSize,
-                "RNG slots must not straddle a neighbor's cache line");
-  Rng& RngFor(ThreadId tid);
-
   Config config_;
   TrapSet trap_set_;
   NearMissTracker nearmiss_;
   HbInference hb_;
-  PerThread<RngSlot> rngs_;
+  PerThreadRng rngs_;
 };
 
 }  // namespace tsvd

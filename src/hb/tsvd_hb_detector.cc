@@ -3,16 +3,9 @@
 namespace tsvd {
 
 TsvdHbDetector::TsvdHbDetector(const Config& config)
-    : config_(config), trap_set_(config) {}
-
-Rng& TsvdHbDetector::RngFor(ThreadId tid) {
-  RngSlot& slot = rngs_.Get(tid);
-  if (!slot.initialized) {
-    slot.rng = Rng(config_.seed * 0xbf58476d1ce4e5b9ULL + tid);
-    slot.initialized = true;
-  }
-  return slot.rng;
-}
+    : config_(config),
+      trap_set_(config),
+      rngs_(config.seed * 0xbf58476d1ce4e5b9ULL) {}
 
 TsvdHbDetector::CtxState TsvdHbDetector::GetState(CtxId ctx) const {
   const CtxShard& shard = const_cast<TsvdHbDetector*>(this)->CtxShardFor(ctx);
@@ -64,7 +57,7 @@ DelayDecision TsvdHbDetector::OnCall(const Access& access) {
   }
 
   const double p = trap_set_.Prob(access.op);
-  if (p > 0.0 && RngFor(access.tid).NextBool(p)) {
+  if (p > 0.0 && rngs_.For(access.tid).NextBool(p)) {
     return DelayDecision{true, config_.delay_us};
   }
   return DelayDecision{};

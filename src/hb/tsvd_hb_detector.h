@@ -16,7 +16,6 @@
 
 #include "src/common/config.h"
 #include "src/common/per_thread.h"
-#include "src/common/rng.h"
 #include "src/core/detector.h"
 #include "src/core/trap_set.h"
 #include "src/hb/vector_clock.h"
@@ -80,8 +79,6 @@ class TsvdHbDetector : public Detector {
   CtxState GetState(CtxId ctx) const;
   void MergeInto(CtxId ctx, const VectorClock& other);
 
-  Rng& RngFor(ThreadId tid);
-
   Config config_;
   TrapSet trap_set_;
 
@@ -89,11 +86,7 @@ class TsvdHbDetector : public Detector {
   ObjShard obj_shards_[kObjShards];
   LockShard lock_shards_[kCtxShards];
 
-  struct RngSlot {
-    Rng rng{0};
-    bool initialized = false;
-  };
-  PerThread<RngSlot> rngs_;
+  PerThreadRng rngs_;
 };
 
 }  // namespace tsvd

@@ -2,6 +2,8 @@
 // no actual sleeping: decisions only).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/common/callsite.h"
 #include "src/core/random_detectors.h"
 #include "src/core/tsvd_detector.h"
@@ -128,6 +130,34 @@ TEST(TsvdDetectorTest, HbInferencePreventsArming) {
   detector.OnCall(At(2, 0x10, 2, OpKind::kWrite, 2100));
   EXPECT_EQ(detector.InferredHbEdges(), 1u);
   EXPECT_EQ(detector.TrapSetSize(), 0u);
+}
+
+// ThreadIds are dense and never reused, so the 4096th thread a process creates has
+// no per-thread slot. Such a thread must still get decisions (from a fallback RNG
+// stream, deterministic per seed) and HB bookkeeping must skip it; the id is
+// passed in directly instead of creating thousands of threads.
+TEST(TsvdDetectorTest, ThreadIdPastSlotCapacityStillDecides) {
+  constexpr ThreadId kFar = 5000;
+  auto run = [] {
+    TsvdDetector detector(UnitConfig());
+    detector.OnCall(At(kFar, 0x10, 1, OpKind::kWrite, 0));
+    detector.OnCall(At(kFar + 1, 0x10, 2, OpKind::kWrite, 500));
+    EXPECT_EQ(detector.TrapSetSize(), 1u);
+    std::vector<bool> decisions;
+    Micros t = 1000;
+    for (int i = 0; i < 20; ++i, t += 3000) {
+      const Access access = At(kFar, 0x10, 1, OpKind::kWrite, t);
+      const DelayDecision decision = detector.OnCall(access);
+      decisions.push_back(decision.inject);
+      if (decision.inject) {
+        detector.OnDelayFinished(access, DelayOutcome{t, t + 1000, false});
+      }
+    }
+    return decisions;
+  };
+  const std::vector<bool> first = run();
+  EXPECT_TRUE(first[0]);  // P = 1 right after the pair is armed
+  EXPECT_EQ(run(), first);
 }
 
 TEST(DynamicRandomTest, FiresAtConfiguredRate) {

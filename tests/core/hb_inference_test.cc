@@ -42,6 +42,30 @@ TEST(HbInferenceTest, StallOverlappingDelayInfersEdge) {
   EXPECT_EQ(traps.PairCount(), 0u);
 }
 
+// A ThreadId past the per-thread slot capacity (4096) has no timeline: its own
+// stalls infer nothing, but the delays it injects still explain other threads'
+// stalls. The id is passed in directly instead of creating thousands of threads.
+TEST(HbInferenceTest, ThreadIdPastSlotCapacityIsSkippedNotOverrun) {
+  constexpr ThreadId kFar = 5000;
+  const Config cfg = HbConfig();
+  TrapSet traps(cfg);
+  traps.AddPair(1, 3);
+  traps.AddPair(4, 2);
+  HbInference hb(cfg, traps);
+
+  hb.OnAccess(At(kFar, 3, 900));
+  hb.OnAccess(At(2, 2, 900));
+  hb.OnDelayFinished(At(1, 1, 1000), DelayOutcome{1000, 2000, false});
+  hb.OnAccess(At(kFar, 3, 2100));  // would infer 1 -> 3 with a timeline
+  EXPECT_EQ(hb.InferredEdges(), 0u);
+  EXPECT_FALSE(traps.WasHbPruned(1, 3));
+
+  hb.OnDelayFinished(At(kFar, 4, 2200), DelayOutcome{2200, 3200, false});
+  hb.OnAccess(At(2, 2, 3300));  // the latest delay in the gap is kFar's
+  EXPECT_EQ(hb.InferredEdges(), 1u);
+  EXPECT_TRUE(traps.WasHbPruned(4, 2));
+}
+
 TEST(HbInferenceTest, ShortGapDoesNotInfer) {
   const Config cfg = HbConfig(0.5);  // threshold 500us
   TrapSet traps(cfg);

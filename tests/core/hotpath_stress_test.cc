@@ -1,10 +1,10 @@
 // Multi-thread stress tests for the lock-light OnCall hot paths.
 //
 // The fast paths (TrapRegistry's armed-count skip, PhaseDetector's per-shard
-// rings + epoch aggregation, TrapSet's per-thread pair cache, ShardedCounter) trade
-// locks for relaxed/acq-rel atomics; these tests pin down the guarantees that must
-// survive that trade and are run under ThreadSanitizer by the tsan-delay-engine CI
-// job.
+// rings + epoch aggregation, TrapSet's per-thread pair cache, ShardedCounter, the
+// near-miss tracker's lock-free object index) trade locks for relaxed/acq-rel
+// atomics; these tests pin down the guarantees that must survive that trade and
+// are run under ThreadSanitizer by the tsan-delay-engine CI job.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/common/sharded_counter.h"
+#include "src/core/nearmiss_tracker.h"
 #include "src/core/phase_detector.h"
 #include "src/core/trap_registry.h"
 #include "src/core/trap_set.h"
@@ -228,6 +229,78 @@ TEST(HotPathStressTest, AddPairStressCountsEachPairOnce) {
   }
   EXPECT_EQ(set.PairCount(), static_cast<uint64_t>(kDistinct));
   EXPECT_EQ(genuine.load(), kDistinct);
+}
+
+// Four threads mix private objects, a shared pool and a stream of fresh objects.
+// The fresh stream forces index growth and sweeps, so blocks are recycled while
+// other threads may still hold index entries that point at them. A private or
+// fresh object is only ever touched by one thread, so any conflict reported on
+// one means two objects' histories got mixed up; conflicts on the shared pool
+// must only name shared-pool operations. Each thread stamps its accesses with its
+// own iteration count instead of the clock, so conflicts and sweeps happen however
+// the threads get scheduled.
+TEST(HotPathStressTest, NearMissIndexGrowthAndRecyclingNeverMixObjects) {
+  Config cfg;
+  cfg.nearmiss_window_us = 50;  // fresh objects go stale 400 iterations on
+  cfg.nearmiss_history = 5;
+  NearMissTracker tracker(cfg);
+  constexpr int kThreads = 4;
+  constexpr int kIters = 40'000;
+  constexpr OpId kSharedOps = 4;
+  std::atomic<int> mixed{0};
+  std::atomic<int> shared_conflicts{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      const ThreadId tid = static_cast<ThreadId>(t + 1);
+      const ObjectId own = (static_cast<ObjectId>(t) + 1) << 40;
+      ObjectId fresh = own | (ObjectId{1} << 32);
+      NearMissTracker::ConflictBuffer out;
+      for (int i = 0; i < kIters; ++i) {
+        Access access;
+        access.tid = tid;
+        access.kind = ((i / 4) & 1) != 0 ? OpKind::kWrite : OpKind::kRead;
+        access.time = i;
+        bool shared = false;
+        switch (i % 4) {
+          case 0:
+            access.obj = 0x5000 + (i / 4) % 8;
+            access.op = static_cast<OpId>(1 + i % kSharedOps);
+            shared = true;
+            break;
+          case 1:
+            access.obj = ++fresh;
+            access.op = 200 + tid;
+            break;
+          default:
+            access.obj = own + (i / 4) % 64;
+            access.op = 100 + tid;
+            break;
+        }
+        out.clear();
+        tracker.RecordAndFindConflicts(access, out);
+        for (const NearMissTracker::NearMiss& miss : out) {
+          if (!shared || miss.other_op < 1 || miss.other_op > kSharedOps) {
+            mixed.fetch_add(1, std::memory_order_relaxed);
+          } else {
+            shared_conflicts.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(mixed.load(), 0);
+  EXPECT_GT(shared_conflicts.load(), 0);
+  // 40'000 fresh objects went in; sweeps must have returned most of them.
+  EXPECT_LT(tracker.TrackedObjects(), static_cast<size_t>(kThreads * kIters / 4));
 }
 
 TEST(HotPathStressTest, ShardedCounterAggregatesAcrossThreads) {

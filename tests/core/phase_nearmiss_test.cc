@@ -151,6 +151,19 @@ TEST_P(NearMissHistorySizes, HistoryEvictsOldestBeyondN) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, NearMissHistorySizes, ::testing::Values(1, 2, 5, 10));
 
+// A history below 1 is clamped to 1 instead of leaving an empty ring: the tracker
+// still reports a near miss with the most recent access.
+TEST(NearMissTest, HistoryBelowOneKeepsTheLatestAccess) {
+  for (int history : {0, -3}) {
+    NearMissTracker tracker(NearMissConfig(1000, history));
+    tracker.RecordAndFindConflicts(At(1, 0x10, 1, OpKind::kWrite, 0));
+    tracker.RecordAndFindConflicts(At(1, 0x10, 2, OpKind::kWrite, 10));
+    const auto misses = tracker.RecordAndFindConflicts(At(2, 0x10, 3, OpKind::kRead, 20));
+    ASSERT_EQ(misses.size(), 1u) << "history " << history;
+    EXPECT_EQ(misses[0].other_op, 2u);
+  }
+}
+
 TEST(NearMissTest, UnwindowedAblationIgnoresTime) {
   Config cfg;
   cfg.disable_nearmiss_window = true;
