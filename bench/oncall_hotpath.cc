@@ -28,6 +28,10 @@
 // with '*' in the table); set TSVD_BENCH_SKIP_OVERSUBSCRIBED=1 to skip them
 // entirely instead.
 //
+// Before the sweep it also measures what one Runtime with a TsvdDetector costs
+// before its first call: heap bytes in use (glibc mallinfo2, main arena, small plus
+// mmapped chunks) and the mean wall time of constructing and destroying one.
+//
 // Writes BENCH_oncall_hotpath.json next to the working directory, including a
 // machine block (hw_concurrency, cpu model, governor) so numbers from different
 // runners are never compared blind. The baseline_pre_pr block holds the wall-ns
@@ -39,6 +43,8 @@
 // TSVD_BENCH_MAX_THREADS (default 64), TSVD_BENCH_SKIP_OVERSUBSCRIBED (default
 // 0), TSVD_BENCH_REPEATS (default 2; each cell reports the min across repeats,
 // the standard noise-robust estimator for single-sample microbenchmarks).
+#include <malloc.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -87,11 +93,18 @@ constexpr int kThreadCounts[] = {1, 2, 4, 8, 16, 32, 64};
 // first `columns` entries of kThreadCounts, each the minimum over its repeats (the
 // 4-core rows: 3 runs of 3 repeats, the two builds' runs alternated). Columns above
 // a row's hw_concurrency are oversubscribed estimates, the others measurements.
+// Rows taken since the harness measured it also carry the runtime footprint
+// (bytes 0: not measured).
+struct Footprint {
+  long bytes = 0;
+  double construct_destroy_us = 0;
+};
 struct HistoryRow {
   const char* label;
   unsigned hw_concurrency;
   int columns;
   double ns_per_call[3][7];
+  Footprint footprint;
 };
 constexpr HistoryRow kHistory[] = {
     {"1 vCPU, near-miss shard mutex + per-tid MRU ways", 1, 7,
@@ -102,7 +115,39 @@ constexpr HistoryRow kHistory[] = {
      {{113.2, 146.0, 213.7}, {125.7, 413.6, 702.6}, {130.8, 438.8, 703.7}}},
     {"4 cores (KVM, Xeon 2.1GHz), per-object history blocks behind a lock-free index", 4,
      3, {{107.1, 121.3, 123.0}, {90.6, 251.0, 437.7}, {100.2, 258.5, 435.8}}},
+    {"4 cores (KVM, Xeon 2.1GHz), ThreadId/OpId tables allocated in full", 4, 3,
+     {{95.8, 114.7, 122.9}, {81.4, 239.9, 423.8}, {88.5, 249.6, 447.7}}, {2813936, 139.5}},
+    {"4 cores (KVM, Xeon 2.1GHz), ThreadId/OpId tables paged on first touch", 4, 3,
+     {{79.6, 86.4, 111.5}, {82.0, 174.2, 434.3}, {83.8, 251.5, 450.6}}, {30992, 1.9}},
 };
+
+long HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<long>(info.uordblks + info.hblkhd);
+}
+
+// Heap growth of one fresh Runtime + TsvdDetector, and the best mean over a few
+// batches of construct + destroy.
+Footprint MeasureFootprint() {
+  const Config cfg;
+  { Runtime warm(cfg, std::make_unique<TsvdDetector>(cfg)); }  // one-time statics
+  Footprint fp;
+  const long before = HeapInUse();
+  auto rt = std::make_unique<Runtime>(cfg, std::make_unique<TsvdDetector>(cfg));
+  fp.bytes = HeapInUse() - before;
+  rt.reset();
+  constexpr int kBatch = 200;
+  fp.construct_destroy_us = 1e18;
+  for (int batch = 0; batch < 5; ++batch) {
+    const Micros t0 = NowMicros();
+    for (int i = 0; i < kBatch; ++i) {
+      Runtime r(cfg, std::make_unique<TsvdDetector>(cfg));
+    }
+    fp.construct_destroy_us = std::min(
+        fp.construct_destroy_us, static_cast<double>(NowMicros() - t0) / kBatch);
+  }
+  return fp;
+}
 
 // Raw wall microseconds for one mode at one thread count.
 double RunMode(const ModeSpec& mode, int threads, long iters) {
@@ -150,6 +195,11 @@ std::string JsonNumber(double v) {
   return buf;
 }
 
+std::string FootprintJson(const Footprint& fp) {
+  return "{\"bytes\": " + std::to_string(fp.bytes) +
+         ", \"construct_destroy_us\": " + JsonNumber(fp.construct_destroy_us) + "}";
+}
+
 }  // namespace
 }  // namespace tsvd
 
@@ -167,6 +217,10 @@ int main() {
   bench::PrintHeader("OnCall hot path (CPU-normalized ns per call)");
   std::printf("machine: %u hw threads, %s, governor %s\n", hw,
               cpu_model.c_str(), governor.c_str());
+
+  const Footprint footprint = MeasureFootprint();
+  std::printf("fresh Runtime + TsvdDetector: %ld bytes of heap, construct+destroy %.1f us\n",
+              footprint.bytes, footprint.construct_destroy_us);
 
   // Discarded warm-up: the very first measured cell otherwise absorbs one-time
   // costs (page faults, lazy allocation, branch-predictor training) and reads
@@ -240,6 +294,7 @@ int main() {
     std::printf("(* = oversubscribed: normalized by cpu-time factor)\n");
   }
 
+  json += "  \"runtime_footprint\": " + FootprintJson(footprint) + ",\n";
   json += "  \"oversubscribed_thread_counts\": [" + oversub_list + "],\n";
   json += "  \"modes\": {\n" + modes_json + "\n  },\n";
   json += "  \"wall_ns\": {\n" + wall_json + "\n  },\n";
@@ -284,7 +339,11 @@ int main() {
       }
       json += "}";
     }
-    json += "}}";
+    json += "}";
+    if (row.footprint.bytes > 0) {
+      json += ", \"runtime_footprint\": " + FootprintJson(row.footprint);
+    }
+    json += "}";
   }
   json += "\n  ]\n}\n";
 

@@ -1,59 +1,32 @@
-// Fixed-capacity per-thread state slots, indexed by dense ThreadId.
+// Per-thread state slots, indexed by dense ThreadId.
 //
 // Detector-local per-thread state (RNG streams, last-access times, HB-inference
 // credits) cannot live in thread_local storage because detectors are created and torn
 // down per test module while pool threads persist. Instead each detector owns a
-// PerThread<T>: a preallocated array indexed by ThreadId where each slot is only ever
-// touched by its owning thread, so no locking is needed.
+// PerThread<T>: a paged table indexed by ThreadId where each slot is only ever
+// touched by its owning thread, so no locking is needed. Pages of 64 slots are
+// allocated on a thread's first touch, so a run pays for the threads it has, not
+// for the capacity.
 //
 // Dense ThreadIds are never reused, so the capacity-th thread a process ever creates
 // has no slot. Hot-path callers use Find() and take a fallback for it (skip the
-// per-thread state, or use a thread_local) instead of writing past the array.
+// per-thread state, or use a thread_local) instead of writing past the table.
 #ifndef SRC_COMMON_PER_THREAD_H_
 #define SRC_COMMON_PER_THREAD_H_
 
 #include <atomic>
-#include <cassert>
 #include <cstdint>
-#include <memory>
 
 #include "src/common/ids.h"
 #include "src/common/padded.h"
+#include "src/common/paged_table.h"
 #include "src/common/rng.h"
 
 namespace tsvd {
 
+inline constexpr size_t kMaxThreads = 4096;
 template <typename T>
-class PerThread {
- public:
-  explicit PerThread(size_t capacity = kDefaultCapacity)
-      : capacity_(capacity), slots_(std::make_unique<T[]>(capacity)) {}
-
-  T& Get(ThreadId tid) {
-    assert(tid < capacity_ && "ThreadId exceeds PerThread capacity");
-    return slots_[tid];
-  }
-
-  const T& Get(ThreadId tid) const {
-    assert(tid < capacity_);
-    return slots_[tid];
-  }
-
-  // The slot of `tid`, or nullptr when `tid` is at or past the capacity.
-  T* Find(ThreadId tid) { return tid < capacity_ ? &slots_[tid] : nullptr; }
-
-  size_t capacity() const { return capacity_; }
-
-  // Iteration for end-of-run aggregation only (not thread-safe against writers).
-  T* begin() { return slots_.get(); }
-  T* end() { return slots_.get() + capacity_; }
-
-  static constexpr size_t kDefaultCapacity = 4096;
-
- private:
-  size_t capacity_;
-  std::unique_ptr<T[]> slots_;
-};
+using PerThread = PagedTable<T, 64, kMaxThreads / 64>;
 
 // One RNG stream per thread for a detector's sampling draws: thread `tid` draws from
 // Rng(base + tid), seeded on its first draw, so a run's decisions are a function

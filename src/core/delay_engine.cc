@@ -51,11 +51,13 @@ bool DelayEngine::Admit(ThreadId tid, Micros duration_us) {
   if (duration_us <= 0) {
     return false;
   }
-  if (config_.max_delay_per_thread_us > 0 && tid < thread_budgets_.capacity()) {
-    if (thread_budgets_.Get(tid).committed + duration_us > config_.max_delay_per_thread_us) {
-      delays_skipped_budget_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
+  // A thread past the slot capacity has no per-thread budget.
+  ThreadBudget* budget =
+      config_.max_delay_per_thread_us > 0 ? thread_budgets_.Find(tid) : nullptr;
+  if (budget != nullptr &&
+      budget->committed + duration_us > config_.max_delay_per_thread_us) {
+    delays_skipped_budget_.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
   {
     std::lock_guard<std::mutex> lock(gov_mu_);
@@ -80,8 +82,8 @@ bool DelayEngine::Admit(ThreadId tid, Micros duration_us) {
     }
     gov_reserved_us_ += duration_us;
   }
-  if (config_.max_delay_per_thread_us > 0 && tid < thread_budgets_.capacity()) {
-    thread_budgets_.Get(tid).committed += duration_us;
+  if (budget != nullptr) {
+    budget->committed += duration_us;
   }
   return true;
 }
@@ -92,13 +94,13 @@ void DelayEngine::Settle(ThreadId tid, Micros reserved_us, Micros slept_us) {
     gov_reserved_us_ -= reserved_us;
     gov_spent_us_ += slept_us;
   }
-  if (config_.max_delay_per_thread_us > 0 && tid < thread_budgets_.capacity()) {
+  // Admit allocated this thread's budget slot if the budget is on.
+  ThreadBudget* budget =
+      config_.max_delay_per_thread_us > 0 ? thread_budgets_.Peek(tid) : nullptr;
+  if (budget != nullptr && slept_us < reserved_us) {
     // Keep the larger of requested/actual committed: a sleep overshooting its
     // deadline still counts in full, an early wake refunds the unslept tail.
-    Micros& committed = thread_budgets_.Get(tid).committed;
-    if (slept_us < reserved_us) {
-      committed -= reserved_us - slept_us;
-    }
+    budget->committed -= reserved_us - slept_us;
   }
 }
 
@@ -188,8 +190,8 @@ size_t DelayEngine::CancelAllParked(WakeReason reason) {
 }
 
 void DelayEngine::NoteProgress(ThreadId tid, Micros now) {
-  if (tid < last_seen_.capacity()) {
-    last_seen_.Get(tid).value.store(now, std::memory_order_relaxed);
+  if (CacheAligned<std::atomic<Micros>>* seen = last_seen_.Find(tid)) {
+    seen->value.store(now, std::memory_order_relaxed);
   }
   // Only maintain the shared watermark while the sentinel could be consuming it;
   // see the header comment. Park() seeds it when a parkless stretch ends.
@@ -236,20 +238,18 @@ void DelayEngine::SentinelLoop() {
       for (const Ticket* ticket : parked_) {
         parked_tids.push_back(ticket->tid);
       }
-      size_t active_outside = 0;
-      for (size_t tid = 0; tid < last_seen_.capacity(); ++tid) {
-        const Micros seen = last_seen_.Get(static_cast<ThreadId>(tid))
-                                .value.load(std::memory_order_relaxed);
-        if (seen == 0 || now - seen > grace) {
-          continue;  // never instrumented / idle long enough to not count
+      // Only pages some thread has stamped can hold a recent stamp; the walk
+      // never allocates.
+      bool active_outside = false;
+      last_seen_.ForEach([&](size_t tid, const CacheAligned<std::atomic<Micros>>& slot) {
+        const Micros seen = slot.value.load(std::memory_order_relaxed);
+        if (active_outside || seen == 0 || now - seen > grace) {
+          return;  // never instrumented / idle long enough to not count
         }
-        if (std::find(parked_tids.begin(), parked_tids.end(),
-                      static_cast<ThreadId>(tid)) == parked_tids.end()) {
-          ++active_outside;
-          break;
-        }
-      }
-      all_parked = active_outside == 0;
+        active_outside = std::find(parked_tids.begin(), parked_tids.end(),
+                                   static_cast<ThreadId>(tid)) == parked_tids.end();
+      });
+      all_parked = !active_outside;
     }
 
     if (no_progress || all_parked) {

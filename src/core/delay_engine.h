@@ -117,6 +117,10 @@ class DelayEngine {
   // Total time threads actually spent parked.
   Micros TotalSleptUs() const { return total_slept_us_.load(std::memory_order_relaxed); }
 
+  // Pages of per-thread progress stamps allocated so far: one per 64 thread ids
+  // that have entered OnCall. Nothing else (the sentinel included) allocates them.
+  size_t ProgressPages() const { return last_seen_.AllocatedPages(); }
+
  private:
   struct Ticket {
     ThreadId tid = 0;

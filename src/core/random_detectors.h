@@ -13,10 +13,10 @@
 #define SRC_CORE_RANDOM_DETECTORS_H_
 
 #include <atomic>
-#include <memory>
 #include <string>
 
 #include "src/common/config.h"
+#include "src/common/paged_table.h"
 #include "src/common/per_thread.h"
 #include "src/common/rng.h"
 #include "src/core/detector.h"
@@ -56,27 +56,22 @@ class DynamicRandomDetector : public internal::RandomBase {
 
 class StaticRandomDetector : public internal::RandomBase {
  public:
-  explicit StaticRandomDetector(const Config& config)
-      : RandomBase(config),
-        hits_(std::make_unique<std::atomic<uint64_t>[]>(kCapacity)) {
-    for (size_t i = 0; i < kCapacity; ++i) {
-      hits_[i].store(0, std::memory_order_relaxed);
-    }
-  }
+  explicit StaticRandomDetector(const Config& config) : RandomBase(config) {}
 
   std::string name() const override { return "DataCollider"; }
 
   DelayDecision OnCall(const Access& access) override {
-    if (access.op >= kCapacity) {
-      return DelayDecision{};
-    }
     // Uniform static sampling: whether this site is in the sampled set is a pure
     // function of (seed, site), decided independently of how hot the site is.
     Rng site_rng(config_.seed * 0x2545f4914f6cdd1dULL + access.op);
     if (!site_rng.NextBool(config_.static_random_site_prob)) {
       return DelayDecision{};
     }
-    const uint64_t h = hits_[access.op].fetch_add(1, std::memory_order_relaxed) + 1;
+    std::atomic<uint64_t>* hits = hits_.Find(access.op);
+    if (hits == nullptr) {
+      return DelayDecision{};  // past the dense call-site range
+    }
+    const uint64_t h = hits->fetch_add(1, std::memory_order_relaxed) + 1;
     Rng& rng = RngFor(access.tid);
     const double p = config_.static_random_quota / static_cast<double>(h);
     if (rng.NextBool(p < 1.0 ? p : 1.0)) {
@@ -85,10 +80,9 @@ class StaticRandomDetector : public internal::RandomBase {
     return DelayDecision{};
   }
 
-  static constexpr OpId kCapacity = 1 << 16;
-
  private:
-  std::unique_ptr<std::atomic<uint64_t>[]> hits_;
+  // Dynamic hits per sampled site; pages appear only for sampled sites' ranges.
+  PerOp<std::atomic<uint64_t>> hits_;
 };
 
 }  // namespace tsvd

@@ -180,10 +180,12 @@ class Runtime {
 
   static std::atomic<Runtime*> current_;
 
-  // Thread-binding storage (public-access names avoided via internal_ prefix; kept in
-  // the class's file for locality, defined inline so the header stays self-contained).
-  static thread_local Runtime* internal_tls_runtime;
-  static thread_local bool internal_tls_bound;
+  // Thread-binding storage (public-access names avoided via internal_ prefix).
+  // Defined inline with constant initializers so every translation unit sees that
+  // no dynamic initialization exists: Current() then reads the slots directly
+  // instead of calling a TLS init wrapper through the GOT on every call.
+  static inline thread_local Runtime* internal_tls_runtime = nullptr;
+  static inline thread_local bool internal_tls_bound = false;
 };
 
 }  // namespace tsvd

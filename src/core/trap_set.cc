@@ -9,16 +9,10 @@
 namespace tsvd {
 
 TrapSet::TrapSet(const Config& config)
-    : decay_factor_(config.decay_factor),
-      min_probability_(config.min_probability),
-      prob_(std::make_unique<std::atomic<double>[]>(kCapacity)) {
-  for (OpId i = 0; i < kCapacity; ++i) {
-    prob_[i].store(0.0, std::memory_order_relaxed);
-  }
-}
+    : decay_factor_(config.decay_factor), min_probability_(config.min_probability) {}
 
 bool TrapSet::AddPair(OpId a, OpId b) {
-  if (a >= kCapacity || b >= kCapacity) {
+  if (a >= kMaxOps || b >= kMaxOps) {
     return false;
   }
   const LocationPair pair(a, b);
@@ -91,15 +85,12 @@ void TrapSet::DecayAfterFailedDelay(OpId op) {
   affected.push_back(op);
   std::vector<OpId> dead;
   for (OpId loc : affected) {
-    if (loc >= kCapacity) {
-      continue;
-    }
-    double p = prob_[loc].load(std::memory_order_relaxed) * (1.0 - decay_factor_);
+    double p = Prob(loc) * (1.0 - decay_factor_);
     if (p < min_probability_) {
       p = 0.0;
       dead.push_back(loc);
     }
-    prob_[loc].store(p, std::memory_order_relaxed);
+    SetProbLocked(loc, p);
   }
   for (OpId loc : dead) {
     auto pit = partners_.find(loc);
@@ -141,8 +132,10 @@ void TrapSet::RemovePairLocked(const LocationPair& pair) {
 }
 
 void TrapSet::SetProbLocked(OpId op, double p) {
-  if (op < kCapacity) {
-    prob_[op].store(p, std::memory_order_relaxed);
+  // Zero is what an untouched page already reads: storing it allocates nothing.
+  std::atomic<double>* slot = p == 0.0 ? prob_.Peek(op) : prob_.Find(op);
+  if (slot != nullptr) {
+    slot->store(p, std::memory_order_relaxed);
   }
 }
 
@@ -199,7 +192,7 @@ void TrapSet::Import(const TrapFile& file) {
       // cross-process deployment would re-intern from the instrumenter's site list.
       continue;
     }
-    if (a >= kCapacity || b >= kCapacity) {
+    if (a >= kMaxOps || b >= kMaxOps) {
       continue;
     }
     AddPairLocked(LocationPair(a, b));

@@ -17,7 +17,6 @@
 #define SRC_CORE_TRAP_SET_H_
 
 #include <atomic>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -26,6 +25,7 @@
 #include "src/common/config.h"
 #include "src/common/ids.h"
 #include "src/common/padded.h"
+#include "src/common/paged_table.h"
 #include "src/common/per_thread.h"
 #include "src/report/bug_report.h"
 #include "src/report/trap_file.h"
@@ -42,12 +42,11 @@ class TrapSet {
   bool AddPair(OpId a, OpId b);
 
   // Current injection probability of a location; 0 means "not eligible for delays".
-  // Lock-free: this is read on every OnCall.
+  // Lock-free and non-allocating: this is read on every OnCall, and a location
+  // whose page was never written has probability 0.
   double Prob(OpId op) const {
-    if (op >= kCapacity) {
-      return 0.0;
-    }
-    return prob_[op].load(std::memory_order_relaxed);
+    const std::atomic<double>* p = prob_.Peek(op);
+    return p == nullptr ? 0.0 : p->load(std::memory_order_relaxed);
   }
 
   // HB inference concluded a -> b: the pair cannot race. Removes it and blocks
@@ -73,8 +72,6 @@ class TrapSet {
   // so trap files with thousands of (often duplicated) signatures load cheaply.
   TrapFile Export() const;
   void Import(const TrapFile& file);
-
-  static constexpr OpId kCapacity = 1 << 16;
 
  private:
   bool AddPairLocked(const LocationPair& pair);
@@ -114,8 +111,8 @@ class TrapSet {
   PerThread<PairCache> pair_caches_;
 
   // Dense probability table indexed by OpId; reads are lock-free, writes happen under
-  // mu_. 64K call sites is far beyond anything a single test process produces.
-  std::unique_ptr<std::atomic<double>[]> prob_;
+  // mu_. Pages are allocated by the first nonzero write into them.
+  PerOp<std::atomic<double>> prob_;
 };
 
 }  // namespace tsvd

@@ -4,8 +4,8 @@
 // proxy that calls OnCall(thread_id, obj_id, op_id) and then the original method. Here
 // every instrumented container method takes a defaulted std::source_location that
 // captures the *caller's* static program location; (file, line, api) is interned into
-// a dense OpId with a per-thread memo so the hot path is one hash lookup plus one
-// atomic load when no runtime is installed.
+// a dense OpId with a per-thread memo, so the hot path is one direct-mapped cache
+// probe; with no runtime installed it is one atomic load.
 #ifndef SRC_INSTRUMENT_INSTRUMENT_H_
 #define SRC_INSTRUMENT_INSTRUMENT_H_
 
@@ -38,16 +38,36 @@ struct SiteKeyHash {
 };
 
 // Thread-local memo: interning proper takes a global lock and builds a key string;
-// each thread pays that once per static call site.
+// each thread pays that once per static call site. In front of the memo map sits a
+// direct-mapped cache of recently seen sites, so the common repeat call is one
+// multiply, one slot compare and no hashing into the map; a miss or a collision
+// falls through to the map and takes the slot over.
 inline OpId InternCached(const std::source_location& loc, const char* api, OpKind kind) {
-  thread_local std::unordered_map<SiteKey, OpId, SiteKeyHash> cache;
+  struct RecentSite {
+    SiteKey key;
+    OpId id;
+  };
+  // 256 slots, indexed by the top 8 bits of a Fibonacci hash (the top bits of the
+  // product mix every input bit). Constant-initialized (a null file marks an empty
+  // slot; a real site always has a file name), so reaching it needs no TLS guard.
+  thread_local RecentSite recent[256] = {};
+
   const SiteKey key{loc.file_name(), loc.line(), api};
-  auto it = cache.find(key);
-  if (it != cache.end()) {
-    return it->second;
+  RecentSite& slot = recent[(SiteKeyHash{}(key) * 0x9e3779b97f4a7c15ULL) >> 56];
+  if (slot.key == key) {
+    return slot.id;
   }
-  const OpId id = CallSiteRegistry::Instance().Intern(loc, api, kind);
-  cache.emplace(key, id);
+
+  thread_local std::unordered_map<SiteKey, OpId, SiteKeyHash> cache;
+  auto it = cache.find(key);
+  OpId id;
+  if (it != cache.end()) {
+    id = it->second;
+  } else {
+    id = CallSiteRegistry::Instance().Intern(loc, api, kind);
+    cache.emplace(key, id);
+  }
+  slot = RecentSite{key, id};
   return id;
 }
 

@@ -6,25 +6,6 @@
 
 namespace tsvd {
 
-CoverageTracker::~CoverageTracker() {
-  for (auto& lane : chunks_) {
-    for (auto& slot : lane) {
-      delete[] slot.load(std::memory_order_acquire);
-    }
-  }
-}
-
-CoverageTracker::Cell* CoverageTracker::AllocateChunk(std::atomic<Cell*>& slot) {
-  Cell* fresh = new Cell[kChunkOps];
-  Cell* expected = nullptr;
-  if (slot.compare_exchange_strong(expected, fresh, std::memory_order_acq_rel,
-                                   std::memory_order_acquire)) {
-    return fresh;
-  }
-  delete[] fresh;  // lost the race; use the winner's chunk
-  return expected;
-}
-
 size_t CoverageTracker::PointsHit() const {
   size_t n = 0;
   ForEachHit([&n](OpId, uint64_t, uint64_t) { ++n; });
@@ -52,18 +33,13 @@ std::vector<OpId> CoverageTracker::SequentialOnlyPoints() const {
 }
 
 CoverageTracker::Entry CoverageTracker::Lookup(OpId op) const {
-  if (op >= kMaxTracked) {
-    return Entry{};
-  }
   Entry entry;
-  for (size_t lane = 0; lane < kLanes; ++lane) {
-    const Cell* chunk =
-        chunks_[lane][op >> kChunkShift].load(std::memory_order_acquire);
-    if (chunk == nullptr) {
+  for (const Lane& lane : lanes_) {
+    const Cell* cell = lane.Peek(op);
+    if (cell == nullptr) {
       continue;
     }
-    const uint64_t packed =
-        chunk[op & (kChunkOps - 1)].packed.load(std::memory_order_relaxed);
+    const uint64_t packed = cell->packed.load(std::memory_order_relaxed);
     entry.hits += HitsOf(packed);
     entry.concurrent_hits += ConcurrentOf(packed);
   }

@@ -2,15 +2,15 @@
 // which TSVD points were hit at all, and which were hit in a concurrent context. One
 // Microsoft team used exactly these statistics to find blind spots in their testing.
 //
-// Record() runs on every OnCall, so it is lock-free: counts live in dense chunks of
-// relaxed atomics indexed by OpId (ids are interned densely; the table caps at
-// kMaxTracked, matching the trap set's call-site capacity). The chunks are lane-
-// sharded by the caller's thread id: OpIds name *static* program locations, so the
-// same hot call sites recur across every thread, and a single table made each hot
-// cell a cache line all cores RMW on every call. With kLanes lanes a cell line is
+// Record() runs on every OnCall, so it is lock-free: counts live in dense paged
+// tables of relaxed atomics indexed by OpId (ids are interned densely; the table
+// caps at kMaxOps, like every OpId-indexed table). The tables are lane-sharded by
+// the caller's thread id: OpIds name *static* program locations, so the same hot
+// call sites recur across every thread, and a single table made each hot cell a
+// cache line all cores RMW on every call. With kLanes lanes a cell line is
 // contended only by the (tid mod kLanes)-congruent subset of threads — at 64
-// threads, 4 instead of 64 writers per line. Chunks are allocated per (lane, range)
-// on first touch with a CAS, so an idle runtime costs a few pointers and lanes only
+// threads, 4 instead of 64 writers per line. Pages are allocated per (lane, range)
+// on first touch, so an idle runtime costs a few pointers and lanes only
 // materialize for thread ids that actually run. Queries take no lock either — they
 // sum the lanes' atomics and are monotone rather than snapshot-consistent, which is
 // all the end-of-run reporting needs.
@@ -23,34 +23,22 @@
 #include <vector>
 
 #include "src/common/ids.h"
+#include "src/common/paged_table.h"
 
 namespace tsvd {
 
 class CoverageTracker {
  public:
-  // Matches TrapSet::kCapacity: far beyond what one test process interns.
-  static constexpr OpId kMaxTracked = 1 << 16;
-
-  CoverageTracker() = default;
-  ~CoverageTracker();
-  CoverageTracker(const CoverageTracker&) = delete;
-  CoverageTracker& operator=(const CoverageTracker&) = delete;
-
   void Record(OpId op, ThreadId tid, bool concurrent_phase) {
-    if (op >= kMaxTracked) {
+    Cell* cell = lanes_[LaneFor(tid)].Find(op);
+    if (cell == nullptr) {
       return;  // uninterned / synthetic id beyond the dense range
-    }
-    auto& slot = chunks_[LaneFor(tid)][op >> kChunkShift];
-    Cell* chunk = slot.load(std::memory_order_acquire);
-    if (chunk == nullptr) {
-      chunk = AllocateChunk(slot);
     }
     // Both counters ride one RMW: total hits in the low half, concurrent hits in
     // the high half. A point would need 2^32 hits to carry between the halves —
     // far past any run this diagnostic serves — so one fetch_add replaces two.
-    chunk[op & (kChunkOps - 1)].packed.fetch_add(
-        1 + (static_cast<uint64_t>(concurrent_phase) << 32),
-        std::memory_order_relaxed);
+    cell->packed.fetch_add(1 + (static_cast<uint64_t>(concurrent_phase) << 32),
+                           std::memory_order_relaxed);
   }
 
   struct Entry {
@@ -73,55 +61,51 @@ class CoverageTracker {
     std::atomic<uint64_t> packed{0};
   };
   // Cells are deliberately unpadded: the table is dense by OpId, and padding every
-  // op to a line would multiply a 512KB table by 8. Cross-thread isolation comes
+  // op to a line would multiply each 32KB page by 8. Cross-thread isolation comes
   // from the lanes, not from per-cell padding.
   static_assert(sizeof(Cell) == 8);
   static uint64_t HitsOf(uint64_t packed) { return packed & 0xffffffffu; }
   static uint64_t ConcurrentOf(uint64_t packed) { return packed >> 32; }
 
   static constexpr size_t kLanes = 16;
-  static constexpr OpId kChunkShift = 12;  // 4096 ops per chunk (32KB)
-  static constexpr OpId kChunkOps = 1 << kChunkShift;
-  static constexpr size_t kNumChunks = kMaxTracked / kChunkOps;
+  using Lane = PerOp<Cell>;
 
   // Dense ThreadIds start at 1; keep the fold aligned with the phase detector's
   // shard placement so a thread's hot lines stay with its core.
   static size_t LaneFor(ThreadId tid) { return (tid - 1) & (kLanes - 1); }
 
-  Cell* AllocateChunk(std::atomic<Cell*>& slot);
   // Visits every op with a nonzero hit count, with lane-summed totals.
   template <typename Fn>
   void ForEachHit(Fn&& fn) const {
-    for (size_t c = 0; c < kNumChunks; ++c) {
-      const Cell* lanes[kLanes];
+    for (size_t start = 0; start < Lane::kCapacity; start += Lane::kPageSlots) {
+      const Cell* pages[kLanes];
       bool any = false;
       for (size_t lane = 0; lane < kLanes; ++lane) {
-        lanes[lane] = chunks_[lane][c].load(std::memory_order_acquire);
-        any = any || lanes[lane] != nullptr;
+        pages[lane] = lanes_[lane].Peek(start);
+        any = any || pages[lane] != nullptr;
       }
       if (!any) {
         continue;
       }
-      for (OpId i = 0; i < kChunkOps; ++i) {
+      for (size_t i = 0; i < Lane::kPageSlots; ++i) {
         uint64_t hits = 0;
         uint64_t concurrent = 0;
-        for (size_t lane = 0; lane < kLanes; ++lane) {
-          if (lanes[lane] == nullptr) {
+        for (const Cell* page : pages) {
+          if (page == nullptr) {
             continue;
           }
-          const uint64_t packed =
-              lanes[lane][i].packed.load(std::memory_order_relaxed);
+          const uint64_t packed = page[i].packed.load(std::memory_order_relaxed);
           hits += HitsOf(packed);
           concurrent += ConcurrentOf(packed);
         }
         if (hits != 0) {
-          fn(static_cast<OpId>(c * kChunkOps + i), hits, concurrent);
+          fn(static_cast<OpId>(start + i), hits, concurrent);
         }
       }
     }
   }
 
-  std::atomic<Cell*> chunks_[kLanes][kNumChunks] = {};
+  Lane lanes_[kLanes];
 };
 
 }  // namespace tsvd

@@ -1,11 +1,15 @@
-// Unit tests for src/common: RNG, call-site interning, scope stacks, per-thread slots.
+// Unit tests for src/common: RNG, call-site interning, scope stacks, per-thread slots,
+// paged tables.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "src/common/callsite.h"
 #include "src/common/execution_context.h"
+#include "src/common/paged_table.h"
 #include "src/common/per_thread.h"
 #include "src/common/rng.h"
 #include "src/common/scope_stack.h"
@@ -156,12 +160,81 @@ TEST(ExecutionContextTest, DefaultsToRootCtxAndScopes) {
 }
 
 TEST(PerThreadTest, SlotsAreIndependent) {
-  PerThread<int> slots(64);
-  slots.Get(1) = 10;
-  slots.Get(2) = 20;
-  EXPECT_EQ(slots.Get(1), 10);
-  EXPECT_EQ(slots.Get(2), 20);
-  EXPECT_EQ(slots.Get(3), 0);  // value-initialized
+  PerThread<int> slots;
+  *slots.Find(1) = 10;
+  *slots.Find(2) = 20;
+  EXPECT_EQ(*slots.Find(1), 10);
+  EXPECT_EQ(*slots.Find(2), 20);
+  EXPECT_EQ(*slots.Find(3), 0);  // value-initialized
+}
+
+using SmallTable = PagedTable<uint64_t, 16, 4>;
+
+TEST(PagedTableTest, ConcurrentFirstTouchKeepsOnePageAndEveryWrite) {
+  constexpr int kThreads = 8;
+  // Many rounds so that several of them really race the page CAS.
+  for (int round = 0; round < 200; ++round) {
+    SmallTable table;
+    std::atomic<int> ready{0};
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (!go.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        // Slots 16..23: every thread first-touches page 1 at once.
+        *table.Find(16 + t) = 1000 + t;
+      });
+    }
+    while (ready.load() < kThreads) {
+      std::this_thread::yield();
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    ASSERT_EQ(table.AllocatedPages(), 1u);
+    for (int t = 0; t < kThreads; ++t) {
+      ASSERT_NE(table.Peek(16 + t), nullptr);
+      EXPECT_EQ(*table.Peek(16 + t), static_cast<uint64_t>(1000 + t)) << "round " << round;
+    }
+  }
+}
+
+TEST(PagedTableTest, FindPastCapacityReturnsNull) {
+  SmallTable table;
+  EXPECT_EQ(SmallTable::kCapacity, 64u);
+  EXPECT_NE(table.Find(SmallTable::kCapacity - 1), nullptr);
+  EXPECT_EQ(table.Find(SmallTable::kCapacity), nullptr);
+  EXPECT_EQ(table.Find(~size_t{0}), nullptr);
+  EXPECT_EQ(table.AllocatedPages(), 1u);
+}
+
+TEST(PagedTableTest, PeekNeverAllocates) {
+  SmallTable table;
+  for (size_t i = 0; i <= SmallTable::kCapacity; ++i) {
+    EXPECT_EQ(table.Peek(i), nullptr);
+  }
+  size_t visited = 0;
+  table.ForEach([&visited](size_t, const uint64_t&) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+  EXPECT_EQ(table.AllocatedPages(), 0u);
+
+  uint64_t* slot = table.Find(37);
+  *slot = 7;
+  EXPECT_EQ(table.Peek(37), slot);  // stable address, same slot
+  EXPECT_EQ(*table.Peek(32), 0u);   // the rest of the page is value-initialized
+  EXPECT_EQ(table.Peek(31), nullptr);
+  EXPECT_EQ(table.Peek(48), nullptr);
+  table.ForEach([&visited](size_t index, const uint64_t& value) {
+    EXPECT_TRUE(index >= 32 && index < 48);
+    EXPECT_EQ(value, index == 37 ? 7u : 0u);
+    ++visited;
+  });
+  EXPECT_EQ(visited, SmallTable::kPageSlots);
+  EXPECT_EQ(table.AllocatedPages(), 1u);
 }
 
 }  // namespace

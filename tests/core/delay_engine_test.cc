@@ -161,6 +161,36 @@ TEST(DelayEngineTest, SentinelCancelsWhenEveryActiveThreadIsParked) {
   EXPECT_EQ(engine.AbortedStall(), 2u);
 }
 
+TEST(DelayEngineTest, SentinelTickAllocatesNoPageAndStillCancelsAllParkedStall) {
+  Config cfg;
+  cfg.stall_grace_us = 200'000;
+  DelayEngine engine(cfg);
+
+  // Same all-parked stall as above; the sentinel ticks every 50ms for ~100ms
+  // while both sleepers are parked, walking the progress stamps each time.
+  std::vector<std::thread> sleepers;
+  std::vector<ThreadId> tids(2);
+  std::vector<ParkResult> results(2);
+  for (int i = 0; i < 2; ++i) {
+    sleepers.emplace_back([&, i] {
+      tids[i] = CurrentThreadId();
+      engine.NoteProgress(tids[i], NowMicros());
+      ASSERT_TRUE(engine.Admit(tids[i], 10'000'000));
+      results[i] = engine.Park(tids[i], static_cast<OpId>(i), 10'000'000);
+    });
+  }
+  for (std::thread& t : sleepers) {
+    t.join();
+  }
+  for (const ParkResult& r : results) {
+    EXPECT_EQ(r.reason, WakeReason::kStallCancel);
+    EXPECT_LT(r.end_us - r.start_us, 5'000'000);
+  }
+  // Only the sleepers' own stamps exist: one page per distinct 64-id range.
+  const size_t expected_pages = tids[0] / 64 == tids[1] / 64 ? 1 : 2;
+  EXPECT_EQ(engine.ProgressPages(), expected_pages);
+}
+
 // ---------------------------------------------------------------------------
 // Governor
 // ---------------------------------------------------------------------------

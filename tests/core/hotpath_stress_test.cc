@@ -319,5 +319,25 @@ TEST(HotPathStressTest, ShardedCounterAggregatesAcrossThreads) {
   EXPECT_EQ(counter.Total(), 80'000u);
 }
 
+TEST(HotPathStressTest, ShardedCounterTotalIsExactWithOverflowCellInUse) {
+  ShardedCounter counter;
+  std::vector<std::thread> threads;
+  // Half the threads count under ids past the cell capacity, so they all share
+  // the RMW overflow cell while the others write their own cells.
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&counter, t] {
+      const ThreadId tid = t % 2 == 0 ? static_cast<ThreadId>(t + 1)
+                                      : static_cast<ThreadId>(5000 + t);
+      for (int i = 0; i < 10'000; ++i) {
+        counter.Add(tid, 3);
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(counter.Total(), 240'000u);
+}
+
 }  // namespace
 }  // namespace tsvd

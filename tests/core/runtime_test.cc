@@ -1,11 +1,15 @@
-// Tests for the Runtime's trap framework using a scriptable detector.
+// Tests for the Runtime's trap framework using a scriptable detector, and for what a
+// Runtime costs in heap before and between calls.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 
 #include "src/common/scope_stack.h"
 #include "src/core/runtime.h"
+#include "src/core/tsvd_detector.h"
 
 namespace tsvd {
 namespace {
@@ -161,6 +165,43 @@ TEST(RuntimeTest, SyncEventsOnlyDeliveredWhenWanted) {
   EXPECT_FALSE(runtime.WantsSyncEvents());
   runtime.OnSync(SyncEvent{SyncEventType::kTaskCreate, 1, 2, 0});
   EXPECT_EQ(runtime.Summary().sync_events, 0u);
+}
+
+// Heap in use in the main arena (the calling thread's, when that is the main
+// thread): small chunks plus mmapped ones. Sanitizer allocators report nothing
+// here, which makes the footprint checks vacuous under them.
+long long HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<long long>(info.uordblks + info.hblkhd);
+}
+
+TEST(RuntimeFootprintTest, FreshRuntimeWithTsvdDetectorCostsAtMost64KB) {
+  Config cfg;
+  { Runtime warm(cfg, std::make_unique<TsvdDetector>(cfg)); }  // one-time statics
+  const long long before = HeapInUse();
+  auto runtime = std::make_unique<Runtime>(cfg, std::make_unique<TsvdDetector>(cfg));
+  const long long grown = HeapInUse() - before;
+  EXPECT_LE(grown, 64 * 1024) << "a fresh Runtime + TsvdDetector allocated " << grown
+                              << " bytes before its first call";
+}
+
+TEST(RuntimeFootprintTest, CallsAfterTheFirstAllocateNothing) {
+  Config cfg;
+  cfg.delay_us = 0;
+  Runtime runtime(cfg, std::make_unique<TsvdDetector>(cfg));
+  auto pass = [&runtime] {
+    for (int i = 0; i < 64; ++i) {
+      runtime.OnCall(0x1000 + 0x40 * (i & 7), static_cast<OpId>(1 + (i & 15)),
+                     i % 4 == 0 ? OpKind::kWrite : OpKind::kRead);
+    }
+  };
+  pass();  // first touch: per-thread pages, coverage pages, object histories
+  const long long before = HeapInUse();
+  for (int round = 0; round < 100; ++round) {
+    pass();
+  }
+  EXPECT_EQ(HeapInUse() - before, 0);
+  EXPECT_EQ(runtime.Summary().oncall_count, 101u * 64);
 }
 
 }  // namespace

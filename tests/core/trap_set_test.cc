@@ -2,7 +2,10 @@
 // (Sections 3.4.1, 3.4.5, 3.4.6).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/common/callsite.h"
+#include "src/common/paged_table.h"
 #include "src/core/trap_set.h"
 
 namespace tsvd {
@@ -121,6 +124,65 @@ TEST(TrapSetTest, ImportSkipsUnknownSignatures) {
   TrapSet traps(SetConfig());
   traps.Import(file);
   EXPECT_EQ(traps.PairCount(), 0u);
+}
+
+TEST(TrapSetTest, UntouchedPageReadsZero) {
+  TrapSet traps(SetConfig());
+  EXPECT_DOUBLE_EQ(traps.Prob(0), 0.0);
+  EXPECT_DOUBLE_EQ(traps.Prob(4096 * 5 + 3), 0.0);
+  EXPECT_DOUBLE_EQ(traps.Prob(static_cast<OpId>(kMaxOps - 1)), 0.0);
+  EXPECT_DOUBLE_EQ(traps.Prob(static_cast<OpId>(kMaxOps)), 0.0);
+  EXPECT_DOUBLE_EQ(traps.Prob(kInvalidOp), 0.0);
+  traps.AddPair(1, 2);
+  EXPECT_DOUBLE_EQ(traps.Prob(1), 1.0);
+  EXPECT_DOUBLE_EQ(traps.Prob(4096 + 1), 0.0);  // a different, untouched page
+  EXPECT_FALSE(traps.AddPair(1, static_cast<OpId>(kMaxOps)));
+}
+
+TEST(TrapSetTest, PairAcrossPageBoundaryArmsDecaysAndDies) {
+  TrapSet traps(SetConfig(/*decay=*/0.5, /*min_p=*/0.2));
+  EXPECT_TRUE(traps.AddPair(4095, 4096));
+  EXPECT_DOUBLE_EQ(traps.Prob(4095), 1.0);
+  EXPECT_DOUBLE_EQ(traps.Prob(4096), 1.0);
+  traps.DecayAfterFailedDelay(4096);
+  EXPECT_DOUBLE_EQ(traps.Prob(4095), 0.5);
+  EXPECT_DOUBLE_EQ(traps.Prob(4096), 0.5);
+  traps.DecayAfterFailedDelay(4095);
+  EXPECT_DOUBLE_EQ(traps.Prob(4095), 0.25);
+  traps.DecayAfterFailedDelay(4095);  // 0.125 < 0.2: both endpoints die
+  EXPECT_DOUBLE_EQ(traps.Prob(4095), 0.0);
+  EXPECT_DOUBLE_EQ(traps.Prob(4096), 0.0);
+  EXPECT_EQ(traps.PairCount(), 0u);
+  EXPECT_TRUE(traps.AddPair(4096, 4095));  // decay removal is not permanent
+  EXPECT_DOUBLE_EQ(traps.Prob(4096), 1.0);
+}
+
+TEST(TrapSetTest, ImportArmsSitesOnBothSidesOfAPageBoundary) {
+  // Intern fresh sites until two consecutive ids straddle a 4096-op page boundary;
+  // ids are process-global, so which boundary depends on what ran before.
+  auto& registry = CallSiteRegistry::Instance();
+  OpId before = kInvalidOp;
+  OpId after = kInvalidOp;
+  for (uint32_t line = 1; line <= 4097 && after == kInvalidOp; ++line) {
+    const OpId id = registry.InternRaw("page_boundary.cc", line, "List.Add", OpKind::kWrite);
+    if (id > 0 && id % 4096 == 0 && before == id - 1) {
+      after = id;
+    }
+    before = id;
+  }
+  ASSERT_NE(after, kInvalidOp);
+  const OpId last_of_page = after - 1;
+
+  TrapSet source(SetConfig());
+  source.AddPair(last_of_page, after);
+  TrapSet target(SetConfig());
+  target.Import(source.Export());
+  EXPECT_EQ(target.PairCount(), 1u);
+  EXPECT_DOUBLE_EQ(target.Prob(last_of_page), 1.0);
+  EXPECT_DOUBLE_EQ(target.Prob(after), 1.0);
+  target.DecayAfterFailedDelay(after);
+  EXPECT_DOUBLE_EQ(target.Prob(last_of_page), 0.5);
+  EXPECT_DOUBLE_EQ(target.Prob(after), 0.5);
 }
 
 TEST(TrapSetTest, PartnersTracksAllPairsOfALocation) {

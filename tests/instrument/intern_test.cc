@@ -5,10 +5,13 @@
 
 #include <mutex>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "src/common/callsite.h"
 #include "src/core/runtime.h"
 #include "src/instrument/dictionary.h"
+#include "src/instrument/instrument.h"
 #include "src/tasks/task.h"
 #include "src/tasks/task_runtime.h"
 
@@ -73,6 +76,28 @@ TEST(InternTest, SignatureStableAcrossRuntimes) {
     *target = raw->ops();
   }
   EXPECT_EQ(first_ops, second_ops);
+}
+
+TEST(InternTest, RecentSiteCacheCollisionsFallThroughToTheMemo) {
+  // 512 distinct sites (one source location, 512 API names) against the 256-slot
+  // direct-mapped cache: slots collide and evict each other, and every lookup,
+  // first or repeated, must still return the OpId the registry interned.
+  const std::source_location loc = std::source_location::current();
+  std::vector<std::string> apis;
+  for (int i = 0; i < 512; ++i) {
+    apis.push_back("Intern.CollisionProbe#" + std::to_string(i));
+  }
+  std::vector<OpId> first;
+  for (const std::string& api : apis) {
+    first.push_back(internal::InternCached(loc, api.c_str(), OpKind::kRead));
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < apis.size(); ++i) {
+      EXPECT_EQ(internal::InternCached(loc, apis[i].c_str(), OpKind::kRead), first[i]);
+    }
+  }
+  EXPECT_EQ(std::set<OpId>(first.begin(), first.end()).size(), apis.size());
+  EXPECT_EQ(CallSiteRegistry::Instance().Get(first[7]).api, apis[7]);
 }
 
 }  // namespace
