@@ -110,11 +110,12 @@ constexpr HistoryRow kHistory[] = {
     {"1 vCPU, near-miss shard mutex + per-tid MRU ways", 1, 7,
      {{97.3, 97.8, 93.4, 92.5, 93.4, 92.6, 94.3},
       {95.8, 96.7, 96.6, 98.2, 97.4, 101.6, 98.6},
-      {93.9, 101.5, 95.4, 97.8, 97.9, 101.0, 98.3}}},
+      {93.9, 101.5, 95.4, 97.8, 97.9, 101.0, 98.3}},
+     {}},
     {"4 cores (KVM, Xeon 2.1GHz), near-miss shard mutex + per-tid MRU ways", 4, 3,
-     {{113.2, 146.0, 213.7}, {125.7, 413.6, 702.6}, {130.8, 438.8, 703.7}}},
+     {{113.2, 146.0, 213.7}, {125.7, 413.6, 702.6}, {130.8, 438.8, 703.7}}, {}},
     {"4 cores (KVM, Xeon 2.1GHz), per-object history blocks behind a lock-free index", 4,
-     3, {{107.1, 121.3, 123.0}, {90.6, 251.0, 437.7}, {100.2, 258.5, 435.8}}},
+     3, {{107.1, 121.3, 123.0}, {90.6, 251.0, 437.7}, {100.2, 258.5, 435.8}}, {}},
     {"4 cores (KVM, Xeon 2.1GHz), ThreadId/OpId tables allocated in full", 4, 3,
      {{95.8, 114.7, 122.9}, {81.4, 239.9, 423.8}, {88.5, 249.6, 447.7}}, {2813936, 139.5}},
     {"4 cores (KVM, Xeon 2.1GHz), ThreadId/OpId tables paged on first touch", 4, 3,

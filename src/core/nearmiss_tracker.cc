@@ -13,9 +13,9 @@ namespace {
 constexpr size_t kInitialIndexSlots = 64;
 // Blocks allocated per pool chunk.
 constexpr size_t kChunkBlocks = 32;
-// Sweeps run once at least this many objects (and at least as many as are live)
-// were inserted since the last one, so their O(live) cost stays amortized O(1)
-// per new object.
+// Sweeps run once at least this many objects (and at least as many as the last
+// sweep kept) were inserted since the last one, so their O(live) cost stays
+// amortized O(1) per new object.
 constexpr size_t kMinInsertsPerSweep = 4096;
 
 }  // namespace
@@ -129,7 +129,10 @@ NearMissTracker::Block* NearMissTracker::AcquireLocked(const Access& access) {
     block->Lock();
     return block;
   }
-  if (window_us_ >= 0 && ++inserted_since_sweep_ >= std::max(kMinInsertsPerSweep, live_)) {
+  // Compared with the survivors of the last sweep, not with live_: live_ counts
+  // every insert since then too, so inserts could never catch up with it.
+  if (window_us_ >= 0 &&
+      ++inserted_since_sweep_ >= std::max(kMinInsertsPerSweep, kept_by_last_sweep_)) {
     Sweep(access.time);
   }
   if (4 * (live_ + 1) > 3 * (indexes_.back()->mask + 1)) {
@@ -193,6 +196,7 @@ void NearMissTracker::Sweep(Micros now) {
     Place(index, block->owner, block);
   }
   live_ = keep.size();
+  kept_by_last_sweep_ = live_;
 }
 
 void NearMissTracker::Grow() {

@@ -150,6 +150,7 @@ class NearMissTracker {
   std::vector<Block*> free_[kPools];
   size_t live_ = 0;
   size_t inserted_since_sweep_ = 0;
+  size_t kept_by_last_sweep_ = 0;
 };
 
 }  // namespace tsvd

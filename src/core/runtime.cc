@@ -90,7 +90,18 @@ void Runtime::OnCallImpl(ObjectId obj, OpId op, OpKind kind) {
     return;  // per-thread / aggregate budget or overhead cap; engine counts it
   }
 
-  TrapRegistry::Trap* trap = traps_.Set(access, ScopeStack::Current().Snapshot());
+  // Arming rechecks for a trap armed since CheckAndMark above, unless that check
+  // already caught one.
+  TrapRegistry::Conflict armed_beside;
+  TrapRegistry::Trap* trap = traps_.Set(access, ScopeStack::Current().Snapshot(),
+                                        conflict.found ? nullptr : &armed_beside);
+  if (armed_beside.found) {
+    ReportViolation(armed_beside, access);
+    detector_->OnViolation(armed_beside.trapped_access, access);
+    if (!config_.disable_early_wake) {
+      engine_.WakeThread(armed_beside.trapped_access.tid, WakeReason::kCatchWake);
+    }
+  }
   delays_injected_.Add(tid);
   if (trap_arm_observer_) {
     trap_arm_observer_(op);

@@ -2,13 +2,17 @@
 
 namespace tsvd {
 
-TrapRegistry::Trap* TrapRegistry::Set(const Access& access, StackTrace stack) {
+TrapRegistry::Trap* TrapRegistry::Set(const Access& access, StackTrace stack,
+                                      Conflict* conflict) {
   auto trap = std::make_unique<Trap>();
   trap->access = access;
   trap->stack = std::move(stack);
   Trap* raw = trap.get();
   Shard& shard = ShardFor(access.obj);
   std::lock_guard<std::mutex> lock(shard.mu);
+  if (conflict != nullptr) {
+    *conflict = FindConflictLocked(shard, access);
+  }
   raw->slot = shard.traps.size();
   shard.traps.push_back(std::move(trap));
   // Release: a checker that (acquire-)reads a nonzero count sees the trap already in
@@ -38,6 +42,11 @@ bool TrapRegistry::Clear(Trap* trap) {
 TrapRegistry::Conflict TrapRegistry::CheckAndMarkSlow(Shard& shard,
                                                       const Access& access) {
   std::lock_guard<std::mutex> lock(shard.mu);
+  return FindConflictLocked(shard, access);
+}
+
+TrapRegistry::Conflict TrapRegistry::FindConflictLocked(Shard& shard,
+                                                        const Access& access) {
   for (const auto& trap : shard.traps) {
     const Access& t = trap->access;
     if (t.obj == access.obj && t.tid != access.tid && KindsConflict(t.kind, access.kind)) {

@@ -45,23 +45,30 @@ class TrapRegistry {
     size_t slot = 0;
   };
 
-  // A thread arms a trap before sleeping. The returned handle stays valid until
-  // Clear(); traps are heap-allocated and owned by the registry.
-  Trap* Set(const Access& access, StackTrace stack);
-
-  // Disarms a trap; returns whether any conflict was caught while it was set.
-  bool Clear(Trap* trap);
-
-  // Returns the first armed trap conflicting with `access` (nullptr if none) and marks
-  // it hit. The caller builds the bug report while the trapped thread still sleeps —
-  // both threads are "caught red handed". The returned pointer is only valid while the
-  // caller immediately copies from it; the trapped thread cannot clear it concurrently
-  // because Clear() takes the same shard lock, but do not hold it past CopyConflict.
+  // An armed trap that an access conflicts with, copied out under the shard lock.
   struct Conflict {
     bool found = false;
     Access trapped_access;
     StackTrace trapped_stack;
   };
+
+  // A thread arms a trap before sleeping. The returned handle stays valid until
+  // Clear(); traps are heap-allocated and owned by the registry.
+  //
+  // With `conflict` non-null, arming also checks, under the same shard lock, for a
+  // conflicting trap already armed, exactly as CheckAndMark does. Two threads that
+  // pass CheckAndMark at the same instant and then both decide to sleep would
+  // otherwise sleep side by side inside conflicting calls on one object without
+  // either noticing the other: whichever arms second catches the first.
+  Trap* Set(const Access& access, StackTrace stack, Conflict* conflict = nullptr);
+
+  // Disarms a trap; returns whether any conflict was caught while it was set.
+  bool Clear(Trap* trap);
+
+  // Returns the first armed trap conflicting with `access` (found = false if none) and
+  // marks it hit. The caller builds the bug report while the trapped thread still
+  // sleeps — both threads are "caught red handed". The trap is copied out under the
+  // shard lock, so the trapped thread clearing it concurrently is harmless.
   Conflict CheckAndMark(const Access& access) {
     // Inline fast path: with no trap armed in the object's shard there is nothing to
     // check — one acquire load and out, no call, no lock (see the file comment for
@@ -100,6 +107,7 @@ class TrapRegistry {
 
   Shard& ShardFor(ObjectId obj) { return shards_[Mix64(obj) % kShards]; }
   Conflict CheckAndMarkSlow(Shard& shard, const Access& access);
+  static Conflict FindConflictLocked(Shard& shard, const Access& access);
 
   Shard shards_[kShards];
 };

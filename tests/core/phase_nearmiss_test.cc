@@ -190,6 +190,22 @@ TEST(NearMissTest, StaleObjectsAreSweptEventually) {
   EXPECT_LT(tracker.TrackedObjects(), static_cast<size_t>(kObjects) / 2);
 }
 
+TEST(NearMissTest, SweepsKeepComingAfterOneKeepsSurvivors) {
+  NearMissTracker tracker(NearMissConfig(100, /*history=*/1));
+  // One object is touched on every step, so each sweep keeps it; a stream of fresh
+  // objects goes stale behind it. Sweeps must keep coming every few thousand
+  // inserts, so the tracked set stays near one sweep interval however long the
+  // stream runs.
+  const int kObjects = 8 * 4096;
+  for (int i = 0; i < kObjects; ++i) {
+    const Micros now = static_cast<Micros>(i) * 1000;
+    tracker.RecordAndFindConflicts(At(1, 0x10, 1, OpKind::kWrite, now));
+    const ObjectId obj = 0x100000 + static_cast<ObjectId>(i) * 1024;
+    tracker.RecordAndFindConflicts(At(1, obj, 2, OpKind::kWrite, now));
+  }
+  EXPECT_LT(tracker.TrackedObjects(), static_cast<size_t>(2 * 4096));
+}
+
 TEST(NearMissTest, SweepKeepsObjectsStillInsideWindow) {
   NearMissTracker tracker(NearMissConfig(1'000'000'000, /*history=*/1));  // never stale
   const int kObjects = 64 * 4096 + 4096;

@@ -99,6 +99,48 @@ TEST(RuntimeTest, TrapCatchesConflictingThreadAndReports) {
   EXPECT_EQ(raw->conflicts.load(), 1);
 }
 
+// Holds every caller inside the detector until `parties` callers are there, so all
+// of them have passed the trap check before any arms a trap.
+class RendezvousDetector : public ScriptedDetector {
+ public:
+  explicit RendezvousDetector(int parties) : parties_(parties) {}
+
+  DelayDecision OnCall(const Access& access) override {
+    arrived_.fetch_add(1);
+    while (arrived_.load() < parties_) {
+      std::this_thread::yield();
+    }
+    return ScriptedDetector::OnCall(access);
+  }
+
+ private:
+  const int parties_;
+  std::atomic<int> arrived_{0};
+};
+
+TEST(RuntimeTest, ThreadsDelayedSideBySideCatchEachOther) {
+  Config cfg;
+  auto detector = std::make_unique<RendezvousDetector>(2);
+  ScriptedDetector* raw = detector.get();
+  raw->delay_op = 1;
+  raw->delay_us = 50'000;
+  Runtime runtime(cfg, std::move(detector));
+
+  // Both threads find no trap, then both decide to sleep in a conflicting call on
+  // one object: the second to arm its trap catches the first and wakes it.
+  std::thread first([&] { runtime.OnCall(0x10, 1, OpKind::kWrite); });
+  std::thread second([&] { runtime.OnCall(0x10, 1, OpKind::kWrite); });
+  first.join();
+  second.join();
+
+  const RunSummary summary = runtime.Summary();
+  ASSERT_EQ(summary.reports.size(), 1u);
+  EXPECT_NE(summary.reports[0].trapped.tid, summary.reports[0].racing.tid);
+  EXPECT_EQ(summary.delays_injected, 2u);
+  EXPECT_EQ(summary.delays_early_woken, 1u);
+  EXPECT_EQ(raw->conflicts.load(), 1);
+}
+
 TEST(RuntimeTest, NoConflictWhenSameThread) {
   Config cfg;
   auto detector = std::make_unique<ScriptedDetector>();

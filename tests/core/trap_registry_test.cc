@@ -67,6 +67,43 @@ TEST(TrapRegistryTest, ConflictReturnsTrappedDetails) {
   traps.Clear(trap);
 }
 
+// Two threads that both passed CheckAndMark before either armed: the second to arm
+// catches the first, and a trap armed beside a non-conflicting one catches nothing.
+TEST(TrapRegistryTest, ArmingBesideAConflictingTrapCatchesIt) {
+  TrapRegistry traps;
+  TrapRegistry::Conflict none;
+  auto* first = traps.Set(MakeAccess(1, 0x10, 5, OpKind::kWrite), {"first"}, &none);
+  EXPECT_FALSE(none.found);
+
+  TrapRegistry::Conflict elsewhere;
+  auto* other_object = traps.Set(MakeAccess(3, 0x20, 5, OpKind::kWrite), {}, &elsewhere);
+  EXPECT_FALSE(elsewhere.found);
+
+  TrapRegistry::Conflict caught;
+  auto* second = traps.Set(MakeAccess(2, 0x10, 5, OpKind::kWrite), {"second"}, &caught);
+  ASSERT_TRUE(caught.found);
+  EXPECT_EQ(caught.trapped_access.tid, 1u);
+  EXPECT_EQ(caught.trapped_stack, (StackTrace{"first"}));
+
+  // Only the trap that was caught reports a hit; the catcher's own trap is clean.
+  EXPECT_FALSE(traps.Clear(second));
+  EXPECT_TRUE(traps.Clear(first));
+  EXPECT_FALSE(traps.Clear(other_object));
+}
+
+TEST(TrapRegistryTest, ArmingBesideANonConflictingTrapCatchesNothing) {
+  TrapRegistry traps;
+  auto* reader = traps.Set(MakeAccess(1, 0x10, 5, OpKind::kRead), {});
+  TrapRegistry::Conflict conflict;
+  auto* same_thread = traps.Set(MakeAccess(1, 0x10, 6, OpKind::kWrite), {}, &conflict);
+  EXPECT_FALSE(conflict.found);
+  EXPECT_FALSE(traps.Clear(same_thread));
+  auto* other_reader = traps.Set(MakeAccess(2, 0x10, 5, OpKind::kRead), {}, &conflict);
+  EXPECT_FALSE(conflict.found);
+  EXPECT_FALSE(traps.Clear(other_reader));
+  EXPECT_FALSE(traps.Clear(reader));
+}
+
 TEST(TrapRegistryTest, ClearReportsWhetherTrapWasHit) {
   TrapRegistry traps;
   auto* hit_trap = traps.Set(MakeAccess(1, 0x10, 1, OpKind::kWrite), {});
