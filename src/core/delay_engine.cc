@@ -104,7 +104,8 @@ void DelayEngine::Settle(ThreadId tid, Micros reserved_us, Micros slept_us) {
   }
 }
 
-ParkResult DelayEngine::Park(ThreadId tid, OpId op, Micros duration_us) {
+ParkResult DelayEngine::Park(ThreadId tid, OpId op, Micros duration_us,
+                             const std::atomic<bool>* caught) {
   ParkResult result;
   result.start_us = NowMicros();
   Ticket ticket;
@@ -126,6 +127,12 @@ ParkResult DelayEngine::Park(ThreadId tid, OpId op, Micros duration_us) {
     last_progress_us_.store(result.start_us, std::memory_order_relaxed);
     parked_count_.fetch_add(1, std::memory_order_relaxed);
     parked_.push_back(&ticket);
+    // A racer sets `caught` before it takes mu_ in WakeThread: if it is not set yet,
+    // that wake will find this ticket.
+    if (caught != nullptr && caught->load(std::memory_order_acquire)) {
+      ticket.woken = true;
+      ticket.reason = WakeReason::kCatchWake;
+    }
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::microseconds(duration_us);
     while (!ticket.woken) {

@@ -75,7 +75,13 @@ class DelayEngine {
 
   // Parks the calling thread for up to duration_us or until woken early. Settles
   // the admission reservation on exit.
-  ParkResult Park(ThreadId tid, OpId op, Micros duration_us);
+  //
+  // `caught`, if given, is the flag a racing thread sets before it calls
+  // WakeThread; it is read after the park is registered, so a catch that lands
+  // between arming the trap and parking returns at once as a catch wake instead
+  // of being lost and sleeping the full delay.
+  ParkResult Park(ThreadId tid, OpId op, Micros duration_us,
+                  const std::atomic<bool>* caught = nullptr);
 
   // Wakes the park of `tid`, if any. Returns true if a parked thread was woken.
   // Used by the runtime's trap-conflict path: TrapRegistry::Conflict names the

@@ -106,7 +106,7 @@ void Runtime::OnCallImpl(ObjectId obj, OpId op, OpKind kind) {
   if (trap_arm_observer_) {
     trap_arm_observer_(op);
   }
-  const ParkResult park = engine_.Park(tid, op, decision.duration_us);
+  const ParkResult park = engine_.Park(tid, op, decision.duration_us, &trap->hit);
   ChargeRequestBudget(park.end_us - park.start_us);
 
   const bool hit = traps_.Clear(trap);

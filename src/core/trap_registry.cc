@@ -25,7 +25,7 @@ TrapRegistry::Trap* TrapRegistry::Set(const Access& access, StackTrace stack,
 bool TrapRegistry::Clear(Trap* trap) {
   Shard& shard = ShardFor(trap->access.obj);
   std::lock_guard<std::mutex> lock(shard.mu);
-  const bool hit = trap->hit;
+  const bool hit = trap->hit.load(std::memory_order_relaxed);
   // Swap-and-pop using the maintained slot index: O(1) regardless of how many traps
   // the shard holds.
   const size_t slot = trap->slot;
@@ -50,7 +50,7 @@ TrapRegistry::Conflict TrapRegistry::FindConflictLocked(Shard& shard,
   for (const auto& trap : shard.traps) {
     const Access& t = trap->access;
     if (t.obj == access.obj && t.tid != access.tid && KindsConflict(t.kind, access.kind)) {
-      trap->hit = true;
+      trap->hit.store(true, std::memory_order_release);
       return Conflict{true, t, trap->stack};
     }
   }

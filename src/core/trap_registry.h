@@ -39,7 +39,9 @@ class TrapRegistry {
   struct Trap {
     Access access;
     StackTrace stack;
-    bool hit = false;  // set when a racing thread conflicts with this trap
+    // Set, under the shard lock, when a racing thread conflicts with this trap;
+    // the trapped thread's park reads it without the lock.
+    std::atomic<bool> hit{false};
     // Index of this trap within its shard's vector, maintained by swap-and-pop so
     // Clear() is O(1) instead of a linear find.
     size_t slot = 0;

@@ -89,6 +89,24 @@ TEST(DelayEngineTest, CatchWakeReleasesParkedThread) {
   EXPECT_FALSE(engine.WakeThread(parked_tid.load(), WakeReason::kCatchWake));
 }
 
+// A racer caught the trap after it was armed but before its thread parked: the
+// wake found no ticket, so the park itself must notice the catch and not sleep.
+TEST(DelayEngineTest, CatchBeforeParkEndsTheParkAtOnce) {
+  Config cfg;
+  cfg.stall_grace_us = 0;
+  DelayEngine engine(cfg);
+
+  const ThreadId tid = CurrentThreadId();
+  const std::atomic<bool> caught{true};
+  EXPECT_FALSE(engine.WakeThread(tid, WakeReason::kCatchWake));  // not parked yet
+  ASSERT_TRUE(engine.Admit(tid, 5'000'000));
+  const ParkResult result = engine.Park(tid, 7, 5'000'000, &caught);
+
+  EXPECT_EQ(result.reason, WakeReason::kCatchWake);
+  EXPECT_LT(result.end_us - result.start_us, 2'000'000);
+  EXPECT_EQ(engine.EarlyWoken(), 1u);
+}
+
 TEST(DelayEngineTest, SentinelCancelsWhenNoProgress) {
   Config cfg;
   cfg.stall_grace_us = 30'000;
