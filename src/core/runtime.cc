@@ -61,15 +61,10 @@ void Runtime::OnCallImpl(ObjectId obj, OpId op, OpKind kind) {
   oncall_count_.Add(tid);
   coverage_.Record(op, tid, access.concurrent_phase);
 
-  // check_for_trap: catch a conflicting sleeper red-handed — and wake it, the
-  // rest of its sleep is pure overhead now that the bug is on record.
+  // check_for_trap: catch a conflicting sleeper red-handed.
   TrapRegistry::Conflict conflict = traps_.CheckAndMark(access);
   if (conflict.found) {
-    ReportViolation(conflict, access);
-    detector_->OnViolation(conflict.trapped_access, access);
-    if (!config_.disable_early_wake) {
-      engine_.WakeThread(conflict.trapped_access.tid, WakeReason::kCatchWake);
-    }
+    CatchTrapped(conflict, access);
   }
 
   // should_delay + admission control.
@@ -96,11 +91,7 @@ void Runtime::OnCallImpl(ObjectId obj, OpId op, OpKind kind) {
   TrapRegistry::Trap* trap = traps_.Set(access, ScopeStack::Current().Snapshot(),
                                         conflict.found ? nullptr : &armed_beside);
   if (armed_beside.found) {
-    ReportViolation(armed_beside, access);
-    detector_->OnViolation(armed_beside.trapped_access, access);
-    if (!config_.disable_early_wake) {
-      engine_.WakeThread(armed_beside.trapped_access.tid, WakeReason::kCatchWake);
-    }
+    CatchTrapped(armed_beside, access);
   }
   delays_injected_.Add(tid);
   if (trap_arm_observer_) {
@@ -143,7 +134,7 @@ void Runtime::RecordInternalError() noexcept {
   }
 }
 
-void Runtime::ReportViolation(const TrapRegistry::Conflict& conflict, const Access& racing) {
+void Runtime::CatchTrapped(const TrapRegistry::Conflict& conflict, const Access& racing) {
   BugReport report;
   report.object = racing.obj;
   report.trapped.tid = conflict.trapped_access.tid;
@@ -162,6 +153,10 @@ void Runtime::ReportViolation(const TrapRegistry::Conflict& conflict, const Acce
   }
   if (observer_) {
     observer_(report);
+  }
+  detector_->OnViolation(conflict.trapped_access, racing);
+  if (!config_.disable_early_wake) {
+    engine_.WakeThread(conflict.trapped_access.tid, WakeReason::kCatchWake);
   }
 }
 

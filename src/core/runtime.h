@@ -132,7 +132,9 @@ class Runtime {
 
  private:
   void OnCallImpl(ObjectId obj, OpId op, OpKind kind);
-  void ReportViolation(const TrapRegistry::Conflict& conflict, const Access& racing);
+  // Records the bug, tells the detector, and wakes the trapped thread: the rest of
+  // its sleep is pure overhead now that the bug is on record.
+  void CatchTrapped(const TrapRegistry::Conflict& conflict, const Access& racing);
   bool RequestBudgetAllows(Micros duration);
   void ChargeRequestBudget(Micros spent);
   void RecordInternalError() noexcept;

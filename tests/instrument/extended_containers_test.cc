@@ -64,20 +64,11 @@ TEST(MultiMapTest, GroupedSemantics) {
 
 // Detection integration: a brushing write-write race on each new container is caught
 // by TSVD end to end.
-//
-// The gaps are fixed fractions of the delay. A thread that wakes 0.85 delays late
-// misses the other's trap, and its long gap then reads as a stall the delay caused,
-// so HB inference prunes the pair for the rest of the run. The delay is therefore
-// kept well above the wake-up latency of a loaded machine; at 2 ms, a 1.7 ms late
-// wake-up lost the race in about 3 of 100 processes next to four busy loops.
 template <typename WriteA, typename WriteB>
 size_t DetectBrushingRace(WriteA&& write_a, WriteB&& write_b) {
-  constexpr Micros kDelayUs = 10'000;
-  constexpr Micros kPassGapUs = kDelayUs * 7 / 20;
-  constexpr Micros kBrushOffsetUs = kDelayUs / 5;
   Config cfg;
-  cfg.delay_us = kDelayUs;
-  cfg.nearmiss_window_us = kDelayUs;
+  cfg.delay_us = 2000;
+  cfg.nearmiss_window_us = 2000;
   Runtime runtime(cfg, std::make_unique<TsvdDetector>(cfg));
   Runtime::Installation install(runtime);
   tasks::SetForceAsync(true);
@@ -85,14 +76,14 @@ size_t DetectBrushingRace(WriteA&& write_a, WriteB&& write_b) {
     tasks::Task<void> a = tasks::Run([&] {
       for (int i = 0; i < 3; ++i) {
         write_a(round * 10 + i);
-        SleepMicros(kPassGapUs);
+        SleepMicros(700);
       }
     });
     tasks::Task<void> b = tasks::Run([&] {
-      SleepMicros(kBrushOffsetUs);
+      SleepMicros(400);
       for (int i = 0; i < 3; ++i) {
         write_b(round * 10 + i);
-        SleepMicros(kPassGapUs);
+        SleepMicros(700);
       }
     });
     a.Wait();
