@@ -81,22 +81,26 @@ void NearMissTracker::RecordAndFindConflicts(const Access& access, ConflictBuffe
     block = AcquireLocked(access);
   }
 
-  // Oldest-to-newest scan: conflicts are reported oldest first.
-  const Record* ring = block->ring();
-  int i = block->head - block->count;
-  if (i < 0) {
-    i += history_;
-  }
   const bool write = access.kind == OpKind::kWrite;
-  for (int k = 0; k < block->count; ++k) {
-    const Record& rec = ring[i];
-    const bool rec_write = (block->writes >> i) & 1;
-    if (rec.tid != access.tid && (write || rec_write) &&
-        (window_us_ < 0 || access.time - rec.time <= window_us_)) {
-      out.push_back(NearMiss{rec.op, ((block->concurrent >> i) & 1) != 0});
+  const bool same_run = block->run_tid == access.tid;
+  // A ring holding only this thread's own accesses forms no near miss: skip the scan.
+  if (!same_run || block->run_len < block->count) {
+    // Oldest-to-newest scan: conflicts are reported oldest first.
+    const Record* ring = block->ring();
+    int i = block->head - block->count;
+    if (i < 0) {
+      i += history_;
     }
-    if (++i == history_) {
-      i = 0;
+    for (int k = 0; k < block->count; ++k) {
+      const Record& rec = ring[i];
+      const bool rec_write = (block->writes >> i) & 1;
+      if (rec.tid != access.tid && (write || rec_write) &&
+          (window_us_ < 0 || access.time - rec.time <= window_us_)) {
+        out.push_back(NearMiss{rec.op, ((block->concurrent >> i) & 1) != 0});
+      }
+      if (++i == history_) {
+        i = 0;
+      }
     }
   }
 
@@ -109,6 +113,12 @@ void NearMissTracker::RecordAndFindConflicts(const Access& access, ConflictBuffe
   block->head = static_cast<uint8_t>(head + 1 == history_ ? 0 : head + 1);
   if (block->count < history_) {
     ++block->count;
+  }
+  if (!same_run) {
+    block->run_tid = access.tid;
+    block->run_len = 1;
+  } else if (block->run_len < history_) {
+    ++block->run_len;
   }
   block->Unlock();
 }
@@ -165,6 +175,7 @@ NearMissTracker::Block* NearMissTracker::NewBlock(const Access& access) {
   block->live = true;
   block->head = 0;
   block->count = 0;
+  block->run_len = 0;
   return block;
 }
 

@@ -80,13 +80,17 @@ class NearMissTracker {
   // One object's history: this header, then `history_` Records, starting on a cache
   // line of its own. `head` is the next write position and `count` saturates at the
   // history length; bit i of `writes` / `concurrent` holds the kind / phase flag of
-  // ring slot i (history_ <= 64), which keeps a record at 16 bytes.
+  // ring slot i (history_ <= 64), which keeps a record at 16 bytes. The newest
+  // `run_len` records (saturating at the history length) were all written by
+  // `run_tid`: once run_len >= count, the ring holds only that thread's accesses.
   struct Block {
     std::atomic<bool> locked{false};
     bool live = false;  // false while the block sits in the free pool
     uint8_t head = 0;
     uint8_t count = 0;
     uint8_t pool = 0;  // free list the block returns to
+    uint8_t run_len = 0;
+    ThreadId run_tid = 0;
     ObjectId owner = 0;
     uint64_t writes = 0;
     uint64_t concurrent = 0;
@@ -98,6 +102,8 @@ class NearMissTracker {
   };
   static_assert(alignof(Record) <= alignof(Block) && sizeof(Block) % alignof(Record) == 0,
                 "the ring must start aligned right after the block header");
+  static_assert(sizeof(Block) + 5 * sizeof(Record) <= 2 * kCacheLineSize,
+                "a block at the default history of 5 fits two cache lines");
 
   // Open-addressing table of live blocks, linear probing from Mix64(key), at most
   // three quarters full. The key sits in the slot so that a probe passing other
