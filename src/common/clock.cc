@@ -96,4 +96,11 @@ Timebase Calibrate() {
 Timebase Calibrate() { return Timebase{}; }
 #endif
 
+namespace {
+// Calibrates before main(), so that the ~2 ms spin never stalls the first
+// instrumented call of a run (a thread reaching GetTimebase() during calibration
+// would wait for it).
+[[maybe_unused]] const Timebase& kCalibratedAtStartup = GetTimebase();
+}  // namespace
+
 }  // namespace tsvd::clock_internal

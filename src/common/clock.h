@@ -48,7 +48,8 @@ struct Timebase {
 // calibrates it against steady_clock for about 2 ms. Returns mult == 0 otherwise.
 Timebase Calibrate();
 
-// Calibrated on first use, thread-safely; forked children inherit the result.
+// Calibrated once, before main() (clock.cc) or on an earlier first use from another
+// static initializer; forked children inherit the result.
 inline const Timebase& GetTimebase() {
   static const Timebase timebase = Calibrate();
   return timebase;
