@@ -120,6 +120,10 @@ constexpr HistoryRow kHistory[] = {
      {{95.8, 114.7, 122.9}, {81.4, 239.9, 423.8}, {88.5, 249.6, 447.7}}, {2813936, 139.5}},
     {"4 cores (KVM, Xeon 2.1GHz), ThreadId/OpId tables paged on first touch", 4, 3,
      {{79.6, 86.4, 111.5}, {82.0, 174.2, 434.3}, {83.8, 251.5, 450.6}}, {30992, 1.9}},
+    {"4 cores (KVM, Xeon 2.1GHz), per-call clock read from a calibrated TSC", 4, 3,
+     {{84.8, 94.5, 102.3}, {80.1, 242.7, 457.9}, {95.2, 189.8, 460.6}}, {30992, 2.6}},
+    {"4 cores (KVM, Xeon 2.1GHz), TSC clock + same-thread near-miss run skip", 4, 3,
+     {{89.6, 91.5, 98.7}, {85.0, 230.3, 453.3}, {82.4, 266.0, 511.6}}, {30992, 2.1}},
 };
 
 long HeapInUse() {

@@ -10,18 +10,23 @@
 
 namespace tsvd {
 
-// SplitMix64: tiny, fast, passes BigCrush for this purpose. Not thread-safe; use one
-// instance per thread or guard externally.
+// One SplitMix64 step: advances *state and returns the next draw. Tiny, fast, and
+// passes BigCrush for this purpose. Code that keeps a bare seed state (the storage
+// and network fault schedules, the fleet agent's retry jitter) steps it with this.
+inline uint64_t SplitMix64(uint64_t* state) {
+  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+// A SplitMix64 stream. Not thread-safe; use one instance per thread or guard
+// externally.
 class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL) : state_(seed) {}
 
-  uint64_t Next() {
-    uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
+  uint64_t Next() { return SplitMix64(&state_); }
 
   // Uniform double in [0, 1).
   double NextDouble() {

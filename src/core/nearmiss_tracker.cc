@@ -169,13 +169,14 @@ NearMissTracker::Block* NearMissTracker::NewBlock(const Access& access) {
   Block* block = free.back();
   free.pop_back();
   // A reader holding a stale pointer may be inside the block: reset it under its
-  // lock, which the caller keeps.
+  // lock, which the caller keeps. The run needs no reset: with the ring empty, a
+  // run left from the previous object covers only records its thread wrote since,
+  // as any other thread's access restarts it.
   block->Lock();
   block->owner = access.obj;
   block->live = true;
   block->head = 0;
   block->count = 0;
-  block->run_len = 0;
   return block;
 }
 

@@ -80,9 +80,9 @@ class NearMissTracker {
   // One object's history: this header, then `history_` Records, starting on a cache
   // line of its own. `head` is the next write position and `count` saturates at the
   // history length; bit i of `writes` / `concurrent` holds the kind / phase flag of
-  // ring slot i (history_ <= 64), which keeps a record at 16 bytes. The newest
-  // `run_len` records (saturating at the history length) were all written by
-  // `run_tid`: once run_len >= count, the ring holds only that thread's accesses.
+  // ring slot i (history_ <= 64), which keeps a record at 16 bytes. `run_tid`
+  // wrote the ring's newest min(run_len, count) records (`run_len` saturates at the
+  // history length): once run_len >= count, the ring holds only its accesses.
   struct Block {
     std::atomic<bool> locked{false};
     bool live = false;  // false while the block sits in the free pool

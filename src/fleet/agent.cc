@@ -13,6 +13,7 @@
 #include "src/campaign/journal.h"
 #include "src/campaign/run_executor.h"
 #include "src/campaign/scheduler.h"
+#include "src/common/rng.h"
 #include "src/fleet/chaos_transport.h"
 #include "src/fleet/protocol.h"
 #include "src/fleet/transport.h"
@@ -34,13 +35,6 @@ AgentResult Fail(AgentStatus status, std::string why) {
   r.status = status;
   r.error = std::move(why);
   return r;
-}
-
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
 }
 
 // Re-sends one logical request — same document, same nonce — under exponential

@@ -4,20 +4,13 @@
 #include <utility>
 
 #include "src/common/clock.h"
+#include "src/common/rng.h"
 
 namespace tsvd::fleet {
 
 namespace {
 
 using campaign::Json;
-
-// splitmix64: tiny, stateless-step, and good enough to decorrelate fault draws.
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 bool ParseProbability(const std::string& value, double* out) {
   char* end = nullptr;

@@ -8,18 +8,10 @@
 #include <unistd.h>
 #endif
 
+#include "src/common/rng.h"
+
 namespace tsvd::io {
 namespace {
-
-// splitmix64, seeded per operation index: every draw sequence is derived from
-// (seed, salt, index) alone, never from a shared evolving stream, so the
-// schedule is replay-identical even under concurrent writers.
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 bool FlipDraw(uint64_t draw, double probability) {
   if (probability <= 0.0) {
@@ -145,7 +137,9 @@ ChaosFs::Draws ChaosFs::DrawsFor(double pa, double pb, double pc) {
   Draws d;
   d.index = op_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
   stat_ops_.fetch_add(1, std::memory_order_relaxed);
-  // Seed a fresh stream from the op's own index; four draws in fixed order.
+  // Seed a fresh stream from the op's own index; four draws in fixed order. The draws
+  // depend on (seed, salt, index) alone, never on a shared evolving stream, so the
+  // schedule is replay-identical even under concurrent writers.
   uint64_t state = spec_.seed ^ (salt_ * 0x9e3779b97f4a7c15ull) ^
                    (d.index * 0xbf58476d1ce4e5b9ull);
   d.flip_a = FlipDraw(SplitMix64(&state), pa);

@@ -1,13 +1,24 @@
-// Unit tests for src/common: RNG, call-site interning, scope stacks, per-thread slots,
-// paged tables.
+// Unit tests for src/common: RNG, the clock, call-site interning, scope stacks,
+// per-thread slots, paged tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "src/common/callsite.h"
+#include "src/common/clock.h"
 #include "src/common/execution_context.h"
 #include "src/common/paged_table.h"
 #include "src/common/per_thread.h"
@@ -71,6 +82,137 @@ TEST(RngTest, ForkProducesIndependentStream) {
   Rng parent(5);
   Rng child = parent.Fork();
   EXPECT_NE(parent.Next(), child.Next());
+}
+
+// The reference SplitMix64 outputs for state 0; the fault schedules replay their
+// seeds through this same function, so it must never change.
+TEST(RngTest, SplitMix64MatchesReferenceAndDrivesRng) {
+  uint64_t state = 0;
+  EXPECT_EQ(SplitMix64(&state), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(SplitMix64(&state), 0x6e789e6aa1b965f4ULL);
+  EXPECT_EQ(SplitMix64(&state), 0x06c45d188009454fULL);
+  Rng rng(42);
+  state = 42;
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(rng.Next(), SplitMix64(&state));
+  }
+}
+
+const char* Timebase() { return TscClockActive() ? "tsc" : "steady_clock"; }
+
+// A NowMicros() read paired with the steady_clock time around it, retried until no
+// preemption widened the bracket.
+std::pair<Micros, Micros> PairedRead() {
+  std::pair<Micros, Micros> read;
+  for (int attempt = 0; attempt < 1000; ++attempt) {
+    const Micros before = SteadyNowMicros();
+    const Micros now = NowMicros();
+    const Micros after = SteadyNowMicros();
+    read = {now, before + (after - before) / 2};
+    if (after - before <= 20) {
+      break;
+    }
+  }
+  return read;
+}
+
+// HB gaps, near-miss windows and delay budgets compare NowMicros() differences
+// with thresholds in real microseconds.
+TEST(ClockTest, TracksSteadyClockWithinOnePercent) {
+  const auto [now0, steady0] = PairedRead();
+  SleepMicros(250'000);
+  const auto [now1, steady1] = PairedRead();
+  const Micros elapsed = now1 - now0;
+  const Micros steady = steady1 - steady0;
+  ASSERT_GE(steady, 200'000);
+  const double error = static_cast<double>(elapsed - steady) / static_cast<double>(steady);
+  std::printf("[ clock    ] %s: %lld us elapsed against %lld us of steady_clock, error %+.4f%%\n",
+              Timebase(), static_cast<long long>(elapsed), static_cast<long long>(steady),
+              100.0 * error);
+  EXPECT_LT(std::abs(error), 0.01);
+}
+
+TEST(ClockTest, ReadsOnOneThreadNeverDecrease) {
+  Micros last = NowMicros();
+  for (int i = 0; i < 2'000'000; ++i) {
+    if (i % 1000 == 0) {
+      std::this_thread::yield();  // a chance to migrate to another CPU
+    }
+    const Micros now = NowMicros();
+    ASSERT_GE(now, last) << Timebase() << ", read " << i;
+    last = now;
+  }
+}
+
+// Two threads on different CPUs hand a turn back and forth. The sender reads the
+// clock and publishes the read with the turn; the receiver's next read, which
+// happens after it, may trail it by at most 1 us (the TSC read is not serializing
+// and the counters of two CPUs agree only to within a few ticks).
+TEST(ClockTest, ReadAfterHappensBeforeEdgeFromAnotherCpuIsNotEarlier) {
+  std::vector<int> cpus;
+#ifdef __linux__
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE && cpus.size() < 2; ++cpu) {
+      if (CPU_ISSET(cpu, &allowed)) {
+        cpus.push_back(cpu);
+      }
+    }
+  }
+#endif
+  constexpr int kHandoffs = 20'000;
+  std::atomic<int> turn{0};
+  std::atomic<Micros> sent{NowMicros()};
+  Micros worst_lag[2] = {0, 0};
+  auto player = [&](int me) {
+#ifdef __linux__
+    if (cpus.size() == 2) {
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(cpus[me], &one);
+      pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+    }
+#endif
+    for (int i = me; i < kHandoffs; i += 2) {
+      while (turn.load(std::memory_order_acquire) != i) {
+        std::this_thread::yield();
+      }
+      const Micros now = NowMicros();
+      worst_lag[me] = std::max(worst_lag[me], sent.load(std::memory_order_relaxed) - now);
+      sent.store(NowMicros(), std::memory_order_relaxed);
+      turn.store(i + 1, std::memory_order_release);
+    }
+  };
+  std::thread a(player, 0);
+  std::thread b(player, 1);
+  a.join();
+  b.join();
+  std::printf("[ clock    ] %s, %zu pinned CPUs: worst receiver lag %lld / %lld us\n",
+              Timebase(), cpus.size(), static_cast<long long>(worst_lag[0]),
+              static_cast<long long>(worst_lag[1]));
+  EXPECT_LE(worst_lag[0], 1);
+  EXPECT_LE(worst_lag[1], 1);
+}
+
+// The fallback every host without a usable TSC runs on, called directly: whole
+// microseconds of steady_clock. The TSC timebase is anchored on it, so the two
+// agree to well within a millisecond inside one process.
+TEST(ClockTest, SteadyFallbackIsSteadyClockInMicroseconds) {
+  using std::chrono::duration_cast;
+  using std::chrono::microseconds;
+  using std::chrono::steady_clock;
+  for (int i = 0; i < 1000; ++i) {
+    const Micros before =
+        duration_cast<microseconds>(steady_clock::now().time_since_epoch()).count();
+    const Micros fallback = SteadyNowMicros();
+    const Micros after =
+        duration_cast<microseconds>(steady_clock::now().time_since_epoch()).count();
+    ASSERT_GE(fallback, before);
+    ASSERT_LE(fallback, after);
+  }
+  const auto [now, steady] = PairedRead();
+  EXPECT_LE(std::abs(now - steady), 1000) << Timebase();
 }
 
 TEST(CallSiteTest, InternIsIdempotent) {

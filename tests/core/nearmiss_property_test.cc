@@ -69,7 +69,9 @@ TEST_P(NearMissProperty, MatchesNaiveModel) {
 
 // Many objects and time jumps past 8x the window: sweeps return stale objects'
 // blocks to the pool, later objects (and swept objects that come back) reuse
-// them, and the index grows several times. The reference model keeps every
+// them, and the index grows several times. Runs of one thread on one object, some
+// longer than the ring and some one short of it, drive the same-thread path that
+// skips the scan, including on recycled blocks. The reference model keeps every
 // history forever; a sweep may only drop records that can never again be within
 // the window, so the reported conflicts must still match it exactly, in order.
 TEST_P(NearMissProperty, MatchesNaiveModelThroughSweepsAndGrowth) {
@@ -82,6 +84,8 @@ TEST_P(NearMissProperty, MatchesNaiveModelThroughSweepsAndGrowth) {
   Rng rng(GetParam());
   Micros now = 0;
   size_t peak_tracked = 0;
+  int run_left = 0;  // accesses left in the current single-thread run
+  Access run;
 
   for (int step = 0; step < 100'000; ++step) {
     now += static_cast<Micros>(rng.NextBelow(40));
@@ -98,6 +102,14 @@ TEST_P(NearMissProperty, MatchesNaiveModelThroughSweepsAndGrowth) {
     access.obj = pick < 3   ? 0x1000 + rng.NextBelow(6) * 64
                  : pick < 6 ? 0x2000 + rng.NextBelow(8) * 64
                             : 0x100000 + rng.NextBelow(20'000) * 64;
+    if (run_left > 0) {
+      --run_left;
+      access.tid = run.tid;
+      access.obj = run.obj;
+    } else if (rng.NextBelow(40) == 0) {
+      run_left = static_cast<int>(rng.NextBelow(3 * cfg.nearmiss_history + 2));
+      run = access;
+    }
     access.op = static_cast<OpId>(rng.NextBelow(16));
     access.kind = rng.NextBool(0.4) ? OpKind::kWrite : OpKind::kRead;
     access.time = now;

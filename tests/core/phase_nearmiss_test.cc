@@ -2,6 +2,10 @@
 // the near-miss tracker (Section 3.4.2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/core/nearmiss_tracker.h"
 #include "src/core/phase_detector.h"
 
@@ -244,6 +248,74 @@ TEST(NearMissTest, RingBufferEvictionWrapsRepeatedly) {
   EXPECT_EQ(misses[0].other_op, 61u);
   EXPECT_EQ(misses[1].other_op, 62u);
   EXPECT_EQ(misses[2].other_op, 63u);
+}
+
+// A swept object's block is reused for a new object with an empty ring. An access
+// stamped before the sweep (its thread read the clock, then lost the CPU) is
+// still inside the window of the swept object's records, so a block reused with
+// its old records would report them as near misses on the new object.
+TEST(NearMissTest, RecycledBlockStartsEmptyForALateStampedAccess) {
+  NearMissTracker tracker(NearMissConfig(1000, 5));
+  for (OpId op = 1; op <= 5; ++op) {
+    tracker.RecordAndFindConflicts(At(1, 0x10, op, OpKind::kWrite, op));
+  }
+  // 4094 more objects at 10 ms, then 0x20: the 4096th insert sweeps 0x10 (older
+  // than 8 windows) and keeps the rest. The swept block goes back to thread 1's
+  // pool, whose free list hands it straight to 0x20.
+  for (ObjectId obj = 1; obj < 4095; ++obj) {
+    tracker.RecordAndFindConflicts(At(1, 0x1000 + obj * 64, 1, OpKind::kWrite, 10'000));
+  }
+  ASSERT_EQ(tracker.TrackedObjects(), 4095u);
+  EXPECT_TRUE(
+      tracker.RecordAndFindConflicts(At(1, 0x20, 50, OpKind::kWrite, 10'001)).empty());
+  ASSERT_EQ(tracker.TrackedObjects(), 4095u);  // 0x10 is gone
+  const auto misses = tracker.RecordAndFindConflicts(At(2, 0x20, 60, OpKind::kWrite, 2));
+  for (const auto& miss : misses) {
+    EXPECT_EQ(miss.other_op, 50u) << "a record of the swept object";
+  }
+}
+
+// Once one thread wrote every record in an object's ring, its next accesses skip the
+// conflict scan. Any other thread must still see the whole ring, oldest first, and
+// the run must end with the first foreign record: until that record leaves the
+// ring, each of the owner's accesses reports it again.
+TEST(NearMissTest, SameThreadRunSkipsScanButForeignAccessSeesWholeRing) {
+  auto ops = [](const std::vector<NearMissTracker::NearMiss>& misses) {
+    std::vector<OpId> out;
+    for (const auto& miss : misses) {
+      out.push_back(miss.other_op);
+    }
+    return out;
+  };
+  for (int history : {1, 5, 64}) {
+    // A ring part full (empty at history 1), and one wrapped several times.
+    for (int run : {history / 2, 3 * history + 1}) {
+      SCOPED_TRACE("history " + std::to_string(history) + ", run " + std::to_string(run));
+      NearMissTracker tracker(NearMissConfig(1'000'000, history));
+      Micros now = 0;
+      for (int k = 0; k < run; ++k) {
+        EXPECT_TRUE(tracker
+                        .RecordAndFindConflicts(
+                            At(1, 0x10, static_cast<OpId>(k), OpKind::kWrite, ++now))
+                        .empty());
+      }
+      std::vector<OpId> ring;
+      for (int k = std::max(0, run - history); k < run; ++k) {
+        ring.push_back(static_cast<OpId>(k));
+      }
+      EXPECT_EQ(ops(tracker.RecordAndFindConflicts(At(2, 0x10, 999, OpKind::kRead, ++now))),
+                ring);
+      // Thread 2's read stays in the ring for `history` more accesses.
+      for (int k = 0; k < history; ++k) {
+        EXPECT_EQ(ops(tracker.RecordAndFindConflicts(
+                      At(1, 0x10, static_cast<OpId>(100 + k), OpKind::kWrite, ++now))),
+                  std::vector<OpId>{999})
+            << "owner access " << k << " after the foreign read";
+      }
+      EXPECT_TRUE(
+          tracker.RecordAndFindConflicts(At(1, 0x10, 200, OpKind::kWrite, ++now)).empty());
+    }
+  }
 }
 
 }  // namespace
