@@ -1,418 +1,107 @@
 #include "src/campaign/campaign.h"
 
-#include <algorithm>
-#include <atomic>
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
+#include <memory>
 #include <utility>
 
-#include "src/campaign/journal.h"
+#include "src/campaign/driver.h"
 #include "src/campaign/run_executor.h"
-#include "src/campaign/scheduler.h"
-#include "src/campaign/sinks.h"
-#include "src/io/chaos_fs.h"
+#include "src/sandbox/sandbox.h"
 
 namespace tsvd::campaign {
 
+LocalExecutor::LocalExecutor(const CampaignOptions& options, JobFn run)
+    : resume_(options.resume),
+      scheduler_(options.workers, options.pool_threads_per_worker),
+      run_(std::move(run)) {
+  retry_.max_attempts = options.max_attempts;
+  retry_.backoff_base_ms = options.sandbox.backoff_base_ms;
+  retry_.backoff_cap_ms = options.sandbox.backoff_cap_ms;
+}
+
+LocalExecutor::LocalExecutor(const CampaignOptions& options,
+                             const std::vector<workload::ModuleSpec>* corpus)
+    : LocalExecutor(options, JobFn()) {
+  // Sandbox children write atomic trap checkpoints here; the parent salvages
+  // them when a child dies mid-run.
+  if (options.sandbox.enabled && sandbox::ForkSupported()) {
+    checkpoint_dir_ =
+        (options.out_dir.empty()
+             ? std::filesystem::temp_directory_path() /
+                   ("tsvd-sandbox-" +
+                    std::to_string(static_cast<uint64_t>(NowMicros())))
+             : std::filesystem::path(options.out_dir) / "sandbox")
+            .string();
+  }
+  auto executor = std::make_shared<const RunExecutor>(options, corpus, checkpoint_dir_);
+  run_ = [executor](const RunJob& job, const TrapFile& imported,
+                    tasks::ThreadPool& pool) {
+    return executor->Execute(job, imported, &pool);
+  };
+}
+
+LocalExecutor::~LocalExecutor() {
+  if (checkpoint_dir_made_) {
+    std::error_code ec;
+    std::filesystem::remove_all(checkpoint_dir_, ec);
+  }
+}
+
+bool LocalExecutor::Restore(TrapFile traps, std::string* /*error*/) {
+  store_ = std::move(traps);
+  if (!checkpoint_dir_.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(checkpoint_dir_, ec);
+    checkpoint_dir_made_ = true;
+    // Reap what a dead campaign's children left behind. On resume the salvaged
+    // pairs rejoin the store; a fresh campaign only clears the litter so its
+    // own crash forensics can never salvage another campaign's checkpoint.
+    salvaged_checkpoints_ = ReapStaleCheckpoints(checkpoint_dir_, &salvage_);
+    if (!resume_) {
+      salvage_ = TrapFile{};
+    }
+  }
+  return true;
+}
+
+TrapFile LocalExecutor::Snapshot() const {
+  TrapFile snapshot = store_;
+  snapshot.Merge(salvage_);  // no round ran yet: keep the reaped learning anyway
+  return snapshot;
+}
+
+size_t LocalExecutor::CommitRound(const TrapFile& round_traps) {
+  store_.Merge(round_traps);
+  return store_.size();
+}
+
+RoundRun LocalExecutor::ExecuteRound(const std::vector<RunJob>& jobs,
+                                     const RoundHooks& hooks) {
+  // Workers read the round's snapshot concurrently; the store changes only at
+  // CommitRound, after every run of the round completed.
+  const TrapFile imported = store_;
+  if (!salvage_.empty()) {
+    store_.Merge(salvage_);
+    salvage_ = TrapFile{};
+  }
+  const Scheduler::JobFn run_job = [&](const RunJob& job, tasks::ThreadPool& pool) {
+    return run_(job, imported, pool);
+  };
+  scheduler_.SetCompletionCallback(hooks.commit);
+  RoundRun run;
+  run.outcomes = scheduler_.ExecuteRound(jobs, run_job, retry_, hooks.interrupt);
+  scheduler_.SetCompletionCallback({});
+  run.drained = scheduler_.draining();
+  return run;
+}
+
 CampaignResult RunCampaign(const CampaignOptions& options) {
-  CampaignResult result;
-  result.options = options;
-
-  // Corpus, config, and per-run execution all come from the shared core
-  // (run_executor.h) so the distributed fleet executes runs bit-identically.
-  const std::vector<workload::ModuleSpec> corpus =
-      BuildCampaignCorpus(options).modules;
-
-  const bool persist = !options.out_dir.empty();
-  if (options.resume && !persist) {
-    result.error = "resume requires an output directory (out_dir)";
-    return result;
-  }
-  if (persist) {
-    std::filesystem::create_directories(options.out_dir);
-    result.trap_path =
-        (std::filesystem::path(options.out_dir) / "traps.tsvd").string();
-  }
-
-  // Sandbox mode needs a scratch directory for the children's atomically-written
-  // trap checkpoints (salvaged by the parent when a child dies mid-run).
-  const bool sandboxed = options.sandbox.enabled && sandbox::ForkSupported();
-  std::string checkpoint_dir;
-  if (sandboxed) {
-    std::filesystem::path dir =
-        persist ? std::filesystem::path(options.out_dir) / "sandbox"
-                : std::filesystem::temp_directory_path() /
-                      ("tsvd-sandbox-" + std::to_string(
-                                             static_cast<uint64_t>(NowMicros())));
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    checkpoint_dir = dir.string();
-  }
-
-  const RunExecutor executor(options, &corpus, checkpoint_dir);
-
-  BugReportMgr mgr;
-  TrapFile merged;  // the fleet-wide trap store, canonical at all times
-  std::vector<char> quarantined(corpus.size(), 0);
-
-  const int rounds = options.rounds > 0 ? options.rounds : 1;
-
-  // The journal's identity stamp: resume refuses a ledger written under a
-  // different (detector, seed, corpus, scale) — the replayed outcomes would not
-  // match what this campaign would have produced.
-  const JournalHeader header = MakeJournalHeader(options, corpus.size());
-
-  CampaignJournal journal;
-  std::vector<RunOutcome> pending;  // replayed runs of the interrupted round
-  int start_round = 1;
-  bool already_done = false;  // the journal says the campaign finished
-  uint64_t last_snapshot_mark = 0;
-
-  if (persist) {
-    const std::string journal_path = CampaignJournal::PathIn(options.out_dir);
-    result.journal_path = journal_path;
-    bool fresh = true;
-    if (options.resume) {
-      ResumePlan plan;
-      if (!LoadResumePlan(options.out_dir, header, corpus.size(),
-                          options.stop_when_converged, &plan)) {
-        result.error = plan.error;
-        return result;
-      }
-      if (!plan.fresh) {
-        fresh = false;
-        result.rounds = plan.completed_rounds;
-        result.resumed_rounds = static_cast<int>(plan.completed_rounds.size());
-        result.resumed_runs = plan.resumed_runs;
-        start_round = plan.start_round;
-        already_done = plan.already_done;
-        result.converged = plan.converged;
-        last_snapshot_mark =
-            ApplyResumePlan(&plan, corpus, &mgr, &merged, &quarantined,
-                            &result.outcomes, &result.false_positives);
-        pending = std::move(plan.pending);
-      }
-    }
-    if (!journal.Open(journal_path, header, /*truncate=*/fresh,
-                      /*fsync=*/DurableFileSyncEnabled())) {
-      result.error = "failed to open campaign journal at " + journal_path;
-      if (journal.last_errno() != 0) {
-        result.error += ": " + std::string(std::strerror(journal.last_errno()));
-      }
-      return result;
-    }
-    journal.set_replayed_run_records(result.resumed_runs);
-  }
-
-  // Reap what a dead orchestrator's children left behind. On resume the salvaged
-  // pairs rejoin the fleet store (below, after the next imported snapshot); a
-  // fresh campaign only clears the litter so its own crash forensics can never
-  // salvage another campaign's stale checkpoint.
-  TrapFile stale_salvage;
-  if (sandboxed) {
-    result.salvaged_checkpoints = ReapStaleCheckpoints(checkpoint_dir, &stale_salvage);
-    if (!options.resume) {
-      stale_salvage = TrapFile{};
-    }
-  }
-
-  // Storage degradation state (DESIGN.md §15), errno-directed. ENOSPC on any
-  // durable write sets storage_drain, which the interrupt closure below turns
-  // into the same graceful drain a SIGINT produces: in-flight runs finish, a
-  // partial report is flushed, and the CLI maps result.disk_full to its
-  // distinct exit code. Any other journal failure (EIO) sets journal_degraded:
-  // the ledger is fail-closed but the campaign keeps running journal-less,
-  // stamping its reports "durability": "degraded".
-  std::atomic<bool> storage_drain{false};
-  std::atomic<bool> journal_lost{false};
-  const auto apply_storage_errno = [&](int err) {
-    if (err == ENOSPC) {
-      storage_drain.store(true, std::memory_order_relaxed);
-    } else {
-      journal_lost.store(true, std::memory_order_relaxed);
-    }
-  };
-
-  Scheduler scheduler(options.workers, options.pool_threads_per_worker);
-  if (journal.is_open()) {
-    // The commit point: one fsync'd ledger record the moment a run reaches its
-    // final outcome, on the worker thread that finished it. Runs a drain skipped
-    // or cut short are never journaled — resume re-executes them.
-    scheduler.SetCompletionCallback([&](const RunOutcome& outcome) {
-      RunOutcome record = outcome;
-      if (record.module.empty() && record.module_index >= 0 &&
-          record.module_index < static_cast<int>(corpus.size())) {
-        record.module = corpus[record.module_index].name;
-      }
-      if (!journal.AppendRun(record)) {
-        // The journal fail-closed (journal.cc retried once on a fresh handle
-        // first). The run itself still counts — only its replay record is gone.
-        apply_storage_errno(journal.last_errno());
-      }
-    });
-  }
-
-  // Sinks flush after every round (and once more at the end): campaign.json and
-  // campaign.sarif always reflect the last committed state, stamped
-  // "interrupted": true when a drain cut the campaign short.
-  const auto flush_reports = [&]() {
-    if (!persist) {
-      return;
-    }
-    CampaignMeta meta;
-    meta.detector = options.detector;
-    meta.num_modules = static_cast<int>(corpus.size());
-    meta.workers = scheduler.workers();
-    meta.rounds_requested = rounds;
-    meta.rounds_executed = static_cast<int>(result.rounds.size());
-    meta.converged = result.converged;
-    meta.interrupted = result.interrupted;
-    meta.sandbox = sandboxed;
-    meta.scale = options.scale;
-    meta.seed = options.seed;
-    meta.durability =
-        journal_lost.load(std::memory_order_relaxed) ? "degraded" : "ok";
-    if (const io::ChaosFs* chaos = io::InstalledChaosFs()) {
-      meta.storage_faults = chaos->stats().Classes();
-    }
-    const std::filesystem::path dir(options.out_dir);
-    const std::string json_path = (dir / "campaign.json").string();
-    const std::string sarif_path = (dir / "campaign.sarif").string();
-    const std::vector<BugReportMgr::UniqueBug> bugs = mgr.Bugs();
-    int sink_err = 0;
-    if (WriteFileAtomic(json_path,
-                        RenderJson(meta, result.rounds, bugs, result.outcomes),
-                        &sink_err)) {
-      result.json_path = json_path;
-    } else if (sink_err == ENOSPC) {
-      storage_drain.store(true, std::memory_order_relaxed);
-    }
-    if (WriteFileAtomic(sarif_path, RenderSarif(meta, bugs, result.outcomes),
-                        &sink_err)) {
-      result.sarif_path = sarif_path;
-    } else if (sink_err == ENOSPC) {
-      storage_drain.store(true, std::memory_order_relaxed);
-    }
-  };
-
-  RetryPolicy retry;
-  retry.max_attempts = options.max_attempts;
-  retry.backoff_base_ms = options.sandbox.backoff_base_ms;
-  retry.backoff_cap_ms = options.sandbox.backoff_cap_ms;
-
-  // Disk-full behaves exactly like a delivered SIGINT: the scheduler polls this
-  // closure between runs and drains on the first true.
-  const std::function<bool()> interrupt = [&]() {
-    return storage_drain.load(std::memory_order_relaxed) ||
-           (options.interrupt && options.interrupt());
-  };
-  for (int round = start_round; !already_done && round <= rounds; ++round) {
-    if (interrupt()) {
-      // Signal (or disk-full drain) arrived between rounds: stop before
-      // dispatching anything.
-      result.interrupted = true;
-      break;
-    }
-    // Runs of this round already committed to the ledger (resume of an
-    // interrupted round): reconstructed, not re-executed.
-    std::vector<RunOutcome> replayed;
-    if (round == start_round && !pending.empty()) {
-      replayed = std::move(pending);
-      pending.clear();
-    }
-    std::vector<char> already(corpus.size(), 0);
-    for (const RunOutcome& o : replayed) {
-      if (o.module_index >= 0 && o.module_index < static_cast<int>(already.size())) {
-        already[o.module_index] = 1;
-      }
-    }
-
-    std::vector<RunJob> jobs;
-    jobs.reserve(corpus.size());
-    for (size_t m = 0; m < corpus.size(); ++m) {
-      if (quarantined[m] || already[m]) {
-        continue;  // benched, or its ledger record already exists for this round
-      }
-      jobs.push_back(RunJob{static_cast<int>(m), round, 1, 0});
-    }
-    if (jobs.empty() && replayed.empty()) {
-      break;
-    }
-
-    // Snapshot the store for the round: workers read it concurrently, the merge
-    // below happens only after every run of the round completed. On resume this
-    // equals the store the uninterrupted campaign would import — the replayed
-    // partial round's own traps are merged only during round processing, exactly
-    // like live outcomes' traps.
-    const TrapFile imported = merged;
-    if (!stale_salvage.empty()) {
-      // Dead children's checkpointed learning joins the fleet store now — after
-      // the imported snapshot, so the snapshot stays bit-identical to the
-      // uninterrupted campaign's.
-      merged.Merge(stale_salvage);
-      stale_salvage = TrapFile{};
-    }
-
-    const Scheduler::JobFn run_job = [&](const RunJob& job,
-                                         tasks::ThreadPool& pool) {
-      return executor.Execute(job, imported, &pool);
-    };
-
-    const Micros round_start = NowMicros();
-    std::vector<RunOutcome> outcomes;
-    if (!jobs.empty()) {
-      outcomes = scheduler.ExecuteRound(jobs, run_job, retry, interrupt);
-    }
-    const bool drained = scheduler.draining();
-
-    RoundStats stats;
-    stats.round = round;
-    stats.wall_us = NowMicros() - round_start;
-    stats.interrupted = drained;
-    // Replayed ledger records and freshly executed runs are processed uniformly,
-    // in module order — the same ingestion order as an uninterrupted round, so
-    // every artifact is deterministic for a given seed regardless of worker
-    // scheduling or where a crash split the round.
-    for (RunOutcome& o : replayed) {
-      outcomes.push_back(std::move(o));
-    }
-    std::stable_sort(outcomes.begin(), outcomes.end(),
-                     [](const RunOutcome& a, const RunOutcome& b) {
-                       return a.module_index < b.module_index;
-                     });
-    for (RunOutcome& outcome : outcomes) {
-      if (outcome.status == RunStatus::kSkipped) {
-        // Never dispatched (drain). Not a run: no stats, no ledger record, no
-        // report entry — the resumed campaign executes it from scratch.
-        continue;
-      }
-      ++stats.runs;
-      // An attempt that threw produces a synthesized outcome with no module name
-      // (the scheduler only knows indices); backfill it for the artifact trail.
-      if (outcome.module.empty() && outcome.module_index >= 0 &&
-          outcome.module_index < static_cast<int>(corpus.size())) {
-        outcome.module = corpus[outcome.module_index].name;
-      }
-      if (outcome.status == RunStatus::kCrashed) {
-        ++stats.crashed;
-        if (outcome.killed_by_signal != 0) {
-          ++stats.killed_by_signal;
-        }
-      }
-      if (outcome.status == RunStatus::kTimedOut) {
-        ++stats.timed_out;
-      }
-      if (outcome.attempts > 1) {
-        ++stats.retried;
-      }
-      if (outcome.quarantined) {
-        ++stats.quarantined;
-        if (outcome.module_index >= 0 &&
-            outcome.module_index < static_cast<int>(quarantined.size())) {
-          quarantined[outcome.module_index] = 1;
-        }
-      }
-      stats.delays_injected += outcome.delays_injected;
-      stats.delays_early_woken += outcome.delays_early_woken;
-      stats.delays_aborted_stall += outcome.delays_aborted_stall;
-      stats.delays_skipped_budget += outcome.delays_skipped_budget;
-      if (outcome.runtime_disabled) {
-        ++stats.runtime_disabled;
-      }
-      stats.retrapped_imported += outcome.retrapped_imported;
-      result.false_positives += outcome.false_positives;
-      for (const BugObservation& obs : outcome.observations) {
-        if (mgr.Ingest(obs)) {
-          ++stats.new_unique_bugs;
-        }
-      }
-      merged.Merge(outcome.traps);
-      result.outcomes.push_back(std::move(outcome));
-    }
-    stats.trap_pairs_after = merged.size();
-    result.rounds.push_back(stats);
-
-    if (drained) {
-      // The round is uncommitted: no trap-store save, no round record, no
-      // snapshot. The ledger's run records cover exactly the runs that finished
-      // before the drain; a resumed campaign executes the rest with the same
-      // imported trap snapshot and recomputes this round's stats in full.
-      result.interrupted = true;
-      break;
-    }
-
-    bool trap_store_committed = true;
-    if (persist) {
-      int save_err = 0;
-      if (!merged.SaveTo(result.trap_path, &save_err)) {
-        trap_store_committed = false;
-        result.trap_path.clear();
-        if (save_err == ENOSPC) {
-          storage_drain.store(true, std::memory_order_relaxed);
-        }
-      }
-    }
-    if (journal.is_open() && trap_store_committed) {
-      // Commit the round — strictly after the trap store hit disk, so a round
-      // record always implies traps.tsvd reflects that round. When the trap
-      // save failed the round record is withheld: resume re-executes the round
-      // rather than trusting a store that never landed.
-      if (!journal.AppendRoundComplete(stats, mgr.UniqueBugCount())) {
-        apply_storage_errno(journal.last_errno());
-      }
-      if (journal.is_open() && options.journal_snapshot_every > 0 &&
-          journal.run_records() - last_snapshot_mark >=
-              static_cast<uint64_t>(options.journal_snapshot_every)) {
-        int snap_err = 0;
-        if (SaveBugMgrSnapshot(CampaignJournal::SnapshotPathIn(options.out_dir),
-                               mgr, journal.run_records(),
-                               DurableFileSyncEnabled(), &snap_err)) {
-          last_snapshot_mark = journal.run_records();
-        } else if (snap_err == ENOSPC) {
-          storage_drain.store(true, std::memory_order_relaxed);
-        }
-      }
-    }
-    if (options.stop_when_converged && stats.new_unique_bugs == 0) {
-      result.converged = true;
-    }
-    flush_reports();
-    if (result.converged) {
-      break;
-    }
-  }
-
-  result.bugs = mgr.Bugs();
-  if (!stale_salvage.empty()) {
-    merged.Merge(stale_salvage);  // no round ran; keep the reaped learning anyway
-  }
-  result.merged_traps = std::move(merged);
-
-  if (storage_drain.load(std::memory_order_relaxed)) {
-    // Disk-full drain: the campaign is cut short like a signal drain, plus the
-    // distinct disk_full marker the CLI maps to its own exit code.
-    result.disk_full = true;
-    result.interrupted = true;
-  }
-  result.journal_degraded = journal_lost.load(std::memory_order_relaxed);
-
-  if (journal.is_open() && !result.interrupted && !already_done) {
-    if (!journal.AppendCampaignComplete(result.converged)) {
-      apply_storage_errno(journal.last_errno());
-      result.disk_full =
-          result.disk_full || storage_drain.load(std::memory_order_relaxed);
-      result.journal_degraded = journal_lost.load(std::memory_order_relaxed);
-    }
-  }
-  journal.Close();
-
-  if (sandboxed) {
-    std::error_code ec;
-    std::filesystem::remove_all(checkpoint_dir, ec);
-  }
-
-  flush_reports();
+  // Corpus, config, and per-run execution come from the shared core
+  // (run_executor.h), so fleet agents execute runs bit-identically.
+  const std::vector<workload::ModuleSpec> corpus = BuildCampaignCorpus(options).modules;
+  LocalExecutor executor(options, &corpus);
+  CampaignResult result = CampaignDriver(options, corpus).Run(&executor);
+  result.salvaged_checkpoints = executor.salvaged_checkpoints();
   return result;
 }
 

@@ -346,132 +346,4 @@ RunOutcome ExecuteWithRetries(const RunExecutor& executor, RunJob job,
   }
 }
 
-bool LoadResumePlan(const std::string& out_dir, const JournalHeader& header,
-                    size_t corpus_size, bool stop_when_converged,
-                    ResumePlan* plan) {
-  *plan = ResumePlan{};
-  const std::string journal_path = CampaignJournal::PathIn(out_dir);
-  JournalReplay replay;
-  std::error_code ec;
-  if (!std::filesystem::exists(journal_path, ec) ||
-      !CampaignJournal::Load(journal_path, &replay) || !replay.has_header) {
-    // A missing/unreadable/headerless journal falls through to a fresh start
-    // (automation can always pass resume, even after a kill that predated the
-    // first append); an identity mismatch is a hard error.
-    return true;
-  }
-  std::string why;
-  if (!header.CompatibleWith(replay.header, &why)) {
-    plan->error = "resume refused: journal identity mismatch (" + why + ")";
-    return false;
-  }
-  plan->fresh = false;
-  if (replay.torn_tail) {
-    // Cut the dangling partial record of the crashed append so this session's
-    // records start on a clean line.
-    std::filesystem::resize_file(journal_path, replay.valid_bytes, ec);
-  }
-  plan->completed_rounds = replay.completed_rounds;
-  plan->resumed_runs = replay.outcomes.size();
-  plan->start_round = static_cast<int>(replay.completed_rounds.size()) + 1;
-
-  // Dedup-state fast path: restore the last snapshot, then re-ingest only the
-  // ledger tail it does not cover.
-  BugMgrSnapshot snap;
-  if (LoadBugMgrSnapshot(CampaignJournal::SnapshotPathIn(out_dir), &snap) &&
-      snap.watermark <= replay.outcomes.size()) {
-    plan->has_snapshot = true;
-    plan->snapshot = std::move(snap);
-  }
-
-  // Partition the run records: completed rounds are reconstructed by the caller
-  // and never re-executed; records of the interrupted round are carried into the
-  // round loop and processed uniformly with the runs that finish it.
-  plan->completed.reserve(replay.outcomes.size());
-  for (uint64_t i = 0; i < replay.outcomes.size(); ++i) {
-    RunOutcome& o = replay.outcomes[i];
-    if (o.quarantined && o.module_index >= 0 &&
-        o.module_index < static_cast<int>(corpus_size)) {
-      plan->quarantined_modules.push_back(o.module_index);  // stays benched
-    }
-    if (o.round >= plan->start_round) {
-      plan->pending.push_back(std::move(o));
-    } else {
-      plan->completed.emplace_back(i, std::move(o));
-    }
-  }
-  // The ledger appends in completion order (non-deterministic across workers);
-  // the live campaign ingests and reports in (round, module) order. Restore that
-  // canonical order so resumed artifacts match an uninterrupted campaign's.
-  std::sort(plan->completed.begin(), plan->completed.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second.round != b.second.round) {
-                return a.second.round < b.second.round;
-              }
-              if (a.second.module_index != b.second.module_index) {
-                return a.second.module_index < b.second.module_index;
-              }
-              return a.first < b.first;
-            });
-  std::sort(plan->pending.begin(), plan->pending.end(),
-            [](const RunOutcome& a, const RunOutcome& b) {
-              return a.module_index < b.module_index;
-            });
-
-  if (replay.complete) {
-    plan->already_done = true;
-    plan->converged = replay.converged;
-  } else if (plan->pending.empty() && stop_when_converged &&
-             !plan->completed_rounds.empty() &&
-             plan->completed_rounds.back().new_unique_bugs == 0) {
-    // Crash in the window between the round record and the complete record:
-    // reconstruct the convergence decision the dead campaign was about to commit.
-    plan->already_done = true;
-    plan->converged = true;
-  }
-  return true;
-}
-
-uint64_t ApplyResumePlan(ResumePlan* plan,
-                         const std::vector<workload::ModuleSpec>& corpus,
-                         BugReportMgr* mgr, TrapFile* merged,
-                         std::vector<char>* quarantined,
-                         std::vector<RunOutcome>* outcomes, int* false_positives) {
-  for (const int m : plan->quarantined_modules) {
-    if (m >= 0 && m < static_cast<int>(quarantined->size())) {
-      (*quarantined)[m] = 1;
-    }
-  }
-  uint64_t covered = 0;
-  if (plan->has_snapshot) {
-    covered = plan->snapshot.watermark;
-    mgr->Restore(std::move(plan->snapshot.bugs));
-  }
-  for (auto& [index, o] : plan->completed) {
-    if (o.module.empty() && o.module_index >= 0 &&
-        o.module_index < static_cast<int>(corpus.size())) {
-      o.module = corpus[o.module_index].name;
-    }
-    if (index >= covered) {
-      for (const BugObservation& obs : o.observations) {
-        mgr->Ingest(obs);
-      }
-    }
-    // The fleet store is exactly the union of every processed outcome's trap
-    // export, so rebuilding it from the ledger reproduces the store the
-    // interrupted round imported — traps.tsvd is not even needed.
-    merged->Merge(o.traps);
-    *false_positives += o.false_positives;
-    outcomes->push_back(std::move(o));
-  }
-  plan->completed.clear();
-  for (RunOutcome& o : plan->pending) {
-    if (o.module.empty() && o.module_index >= 0 &&
-        o.module_index < static_cast<int>(corpus.size())) {
-      o.module = corpus[o.module_index].name;
-    }
-  }
-  return covered;
-}
-
 }  // namespace tsvd::campaign

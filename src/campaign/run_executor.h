@@ -1,18 +1,17 @@
-// Shared campaign execution core: everything both the single-process orchestrator
-// (RunCampaign) and the distributed fleet (src/fleet/) must do IDENTICALLY.
+// Shared run execution core: what the single-process executor (RunCampaign)
+// and fleet agents (src/fleet/agent.h) must do IDENTICALLY.
 //
 // The fleet's convergence contract — a 4-agent campaign with identical per-round
 // salts reports the exact same unique-bug set as tsvd_campaign single-process, even
 // when an agent is SIGKILLed mid-round — only holds if every process derives the
 // corpus, the delay-engine config, the per-round salt, and the per-run execution
 // (including the sandbox fork, checkpointing, and delay degradation) from one code
-// path. This header is that path, factored out of campaign.cc so coordinator and
-// agents cannot drift from the orchestrator.
+// path. This header is that path; the round loop around it is CampaignDriver
+// (driver.h).
 #ifndef SRC_CAMPAIGN_RUN_EXECUTOR_H_
 #define SRC_CAMPAIGN_RUN_EXECUTOR_H_
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/campaign/campaign.h"
@@ -101,58 +100,6 @@ class RunExecutor {
 RunOutcome ExecuteWithRetries(const RunExecutor& executor, RunJob job,
                               const TrapFile& imported, tasks::ThreadPool* pool,
                               const RetryPolicy& policy);
-
-// Everything a dead campaign's journal yields for a resume, partitioned the way
-// the round loop consumes it. Shared by RunCampaign and the fleet coordinator so
-// both resume with identical semantics.
-struct ResumePlan {
-  // No resumable journal (missing/unreadable/headerless): start fresh. The other
-  // fields are meaningless.
-  bool fresh = true;
-  // Identity mismatch or I/O failure; fatal when non-empty.
-  std::string error;
-
-  std::vector<RoundStats> completed_rounds;  // committed rounds, in round order
-  // Outcomes of committed rounds as (ledger index, outcome), restored to the
-  // canonical (round, module, ledger) order the live campaign ingests in. The
-  // ledger index lets the caller skip observations a BugReportMgr snapshot
-  // already covers.
-  std::vector<std::pair<uint64_t, RunOutcome>> completed;
-  // Run records of the interrupted round, sorted by module index: carried into
-  // the round loop and processed uniformly with the runs that finish the round.
-  std::vector<RunOutcome> pending;
-  int start_round = 1;
-  // The journal says the campaign finished (or died in the window between its
-  // last round record and the complete record, with convergence already decided).
-  bool already_done = false;
-  bool converged = false;
-  uint64_t resumed_runs = 0;
-  // Modules whose journaled outcome was quarantined: they stay benched.
-  std::vector<int> quarantined_modules;
-  // BugReportMgr snapshot restore: when has_snapshot, Restore(snapshot.bugs) and
-  // re-ingest only completed entries with ledger index >= snapshot.watermark.
-  bool has_snapshot = false;
-  BugMgrSnapshot snapshot;
-};
-
-// Loads out_dir's journal (and bugmgr snapshot) and builds the plan. Performs the
-// torn-tail truncation so the resume writer appends on a clean line. Returns
-// false when plan->error was set (identity mismatch); a missing journal returns
-// true with plan->fresh.
-bool LoadResumePlan(const std::string& out_dir, const JournalHeader& header,
-                    size_t corpus_size, bool stop_when_converged, ResumePlan* plan);
-
-// Applies the completed-rounds part of a plan: marks quarantined modules,
-// restores the snapshot into `mgr`, re-ingests the uncovered observation tail,
-// rebuilds the merged trap store, backfills module names, and appends the
-// outcomes (in canonical order) to `outcomes`. plan.pending is left for the
-// caller's round loop; names are backfilled here too. Returns the snapshot
-// watermark restored (0 when none) — the caller's snapshot-cadence baseline.
-uint64_t ApplyResumePlan(ResumePlan* plan,
-                         const std::vector<workload::ModuleSpec>& corpus,
-                         BugReportMgr* mgr, TrapFile* merged,
-                         std::vector<char>* quarantined,
-                         std::vector<RunOutcome>* outcomes, int* false_positives);
 
 }  // namespace tsvd::campaign
 

@@ -1,16 +1,10 @@
 #include "src/fleet/coordinator.h"
 
-#include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
-#include <filesystem>
 #include <utility>
 
 #include "src/campaign/run_executor.h"
-#include "src/campaign/sinks.h"
 #include "src/fleet/protocol.h"
-#include "src/io/chaos_fs.h"
 #include "src/sandbox/outcome_codec.h"
 
 namespace tsvd::fleet {
@@ -187,7 +181,7 @@ Json FleetCoordinator::HandleHello(const Json& request) {
   }
   resp.Set("type", "setup");
   resp.Set("options", EncodeCampaignOptions(options_.campaign));
-  resp.Set("corpus_size", static_cast<int64_t>(corpus_names_.size()));
+  resp.Set("corpus_size", static_cast<int64_t>(corpus_size_));
   return resp;
 }
 
@@ -291,70 +285,48 @@ Json FleetCoordinator::HandleResult(const Json& request) {
     return resp;
   }
   const uint64_t lease_id = static_cast<uint64_t>(lease->as_int());
-  bool accepted = false;
+  const std::function<void(const RunOutcome&)>* commit = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     last_contact_us_ = NowMicros();
     const auto it = open_leases_.find(lease_id);
-    if (it != open_leases_.end()) {
-      JobSlot& slot = slots_[it->second.slot];
-      // Idempotent acceptance: the first publish for a slot wins; anything later
-      // — a re-executed stolen job, a retransmit — is acknowledged and
-      // discarded, so no run can ever double-count into stats, the journal, or
-      // the bug manager.
-      if (slot.phase == JobPhase::kLeased &&
-          outcome.module_index == slot.module_index && outcome.round == round_) {
-        if (outcome.module.empty() && slot.module_index >= 0 &&
-            slot.module_index < static_cast<int>(corpus_names_.size())) {
-          outcome.module = corpus_names_[slot.module_index];
-        }
-        slot.outcome = outcome;
-        slot.phase = JobPhase::kDone;
-        accepted = true;
-        // Every lease for this slot (original + stolen) is now dead.
-        const size_t done_slot = it->second.slot;
-        for (auto lease_it = open_leases_.begin();
-             lease_it != open_leases_.end();) {
-          if (lease_it->second.slot == done_slot) {
-            lease_it = open_leases_.erase(lease_it);
-          } else {
-            ++lease_it;
-          }
-        }
-      }
-    }
-    if (!accepted) {
+    // Idempotent acceptance: the first publish for a slot wins; anything later
+    // — a re-executed stolen job, a retransmit — is acknowledged and discarded,
+    // so no run can ever double-count into stats, the journal, or the bug
+    // manager.
+    if (it != open_leases_.end() &&
+        slots_[it->second.slot].phase == JobPhase::kLeased &&
+        outcome.module_index == slots_[it->second.slot].module_index &&
+        outcome.round == round_) {
+      const size_t done_slot = it->second.slot;
+      slots_[done_slot].outcome = outcome;
+      slots_[done_slot].phase = JobPhase::kDone;
+      // Every lease for this slot (original + stolen) is now dead.
+      std::erase_if(open_leases_, [done_slot](const auto& entry) {
+        return entry.second.slot == done_slot;
+      });
+      commit = commit_;
+      ++committing_;
+    } else {
       ++stats_.duplicate_results;
     }
   }
-  if (accepted) {
-    // The ledger commit point, mirroring the single-process completion callback:
-    // fsync'd before the ack, outside the coordinator lock. done_count_ advances
-    // only after the record is durable, so the round barrier can never commit a
-    // round record ahead of one of its run records.
-    if (journal_.is_open() && !journal_.AppendRun(outcome)) {
-      // The journal fail-closed (one fresh-handle retry already happened inside
-      // AppendRun). The result itself is still accepted — only its replay
-      // record is gone; the degradation policy decides what happens next.
-      ApplyStorageErrno(journal_.last_errno());
-    }
+  if (commit != nullptr) {
+    // The ledger commit point, fsync'd before the ack and outside the
+    // coordinator lock. done_count_ advances only after the record is durable,
+    // so the round barrier can never commit a round record ahead of one of its
+    // run records.
+    (*commit)(outcome);
     {
       std::lock_guard<std::mutex> lock(mu_);
+      --committing_;
       ++done_count_;
     }
     round_cv_.notify_all();
   }
   resp.Set("type", "ack");
-  resp.Set("accepted", accepted);
+  resp.Set("accepted", commit != nullptr);
   return resp;
-}
-
-void FleetCoordinator::ApplyStorageErrno(int err) {
-  if (err == ENOSPC) {
-    storage_drain_.store(true, std::memory_order_relaxed);
-  } else {
-    journal_lost_.store(true, std::memory_order_relaxed);
-  }
 }
 
 std::vector<std::string> FleetCoordinator::SweepEvictionsLocked(Micros now) {
@@ -396,87 +368,27 @@ size_t FleetCoordinator::LiveOpenLeasesLocked() const {
 }
 
 CampaignResult FleetCoordinator::Run() {
-  const campaign::CampaignOptions& opt = options_.campaign;
-  CampaignResult result;
-  result.options = opt;
-
   const std::vector<workload::ModuleSpec> corpus =
-      campaign::BuildCampaignCorpus(opt).modules;
-  corpus_names_.clear();
-  corpus_names_.reserve(corpus.size());
-  for (const workload::ModuleSpec& m : corpus) {
-    corpus_names_.push_back(m.name);
+      campaign::BuildCampaignCorpus(options_.campaign).modules;
+  corpus_size_ = corpus.size();
+  CampaignResult result = campaign::CampaignDriver(options_.campaign, corpus).Run(this);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    finished_ = true;
   }
+  return result;
+}
 
-  const bool persist = !opt.out_dir.empty();
-  if (opt.resume && !persist) {
-    result.error = "resume requires an output directory (out_dir)";
-    return result;
-  }
-  if (persist) {
-    std::filesystem::create_directories(opt.out_dir);
-    result.trap_path =
-        (std::filesystem::path(opt.out_dir) / "traps.tsvd").string();
-  }
-
-  campaign::BugReportMgr mgr;
-  TrapFile merged;
-  std::vector<char> quarantined(corpus.size(), 0);
-  const int rounds = opt.rounds > 0 ? opt.rounds : 1;
-  const campaign::JournalHeader header =
-      campaign::MakeJournalHeader(opt, corpus.size());
-
-  std::vector<RunOutcome> pending;
-  int start_round = 1;
-  bool already_done = false;
-  uint64_t last_snapshot_mark = 0;
-
-  if (persist) {
-    const std::string journal_path = campaign::CampaignJournal::PathIn(opt.out_dir);
-    result.journal_path = journal_path;
-    bool fresh = true;
-    if (opt.resume) {
-      campaign::ResumePlan plan;
-      if (!campaign::LoadResumePlan(opt.out_dir, header, corpus.size(),
-                                    opt.stop_when_converged, &plan)) {
-        result.error = plan.error;
-        return result;
-      }
-      if (!plan.fresh) {
-        fresh = false;
-        result.rounds = plan.completed_rounds;
-        result.resumed_rounds = static_cast<int>(plan.completed_rounds.size());
-        result.resumed_runs = plan.resumed_runs;
-        start_round = plan.start_round;
-        already_done = plan.already_done;
-        result.converged = plan.converged;
-        last_snapshot_mark = campaign::ApplyResumePlan(
-            &plan, corpus, &mgr, &merged, &quarantined, &result.outcomes,
-            &result.false_positives);
-        pending = std::move(plan.pending);
-      }
-    }
-    if (!journal_.Open(journal_path, header, /*truncate=*/fresh,
-                       /*fsync=*/DurableFileSyncEnabled())) {
-      result.error = "failed to open campaign journal at " + journal_path;
-      if (journal_.last_errno() != 0) {
-        result.error += ": " + std::string(std::strerror(journal_.last_errno()));
-      }
-      return result;
-    }
-    journal_.set_replayed_run_records(result.resumed_runs);
-  }
-  store_.Restore(std::move(merged));
-
+bool FleetCoordinator::Restore(TrapFile traps, std::string* error) {
+  store_.Restore(std::move(traps));
   std::string transport_error;
   server_ = MakeTransportServer(options_.address, &transport_error);
   if (server_ == nullptr ||
       !server_->Start([this](const Json& req) { return Handle(req); },
                       &transport_error)) {
     server_.reset();
-    journal_.Close();
-    result.error = "transport: " + transport_error;
-    return result;
+    *error = "transport: " + transport_error;
+    return false;
   }
   if (!options_.federation.peers.empty()) {
     federator_ = std::make_unique<StoreFederator>(&store_, options_.federation);
@@ -484,301 +396,103 @@ CampaignResult FleetCoordinator::Run() {
     if (!federator_->Start(&federation_error)) {
       federator_.reset();
       Shutdown();
-      journal_.Close();
-      result.error = "federation: " + federation_error;
-      return result;
+      *error = "federation: " + federation_error;
+      return false;
     }
   }
+  return true;
+}
 
-  const auto flush_reports = [&]() {
-    if (!persist) {
-      return;
-    }
-    campaign::CampaignMeta meta;
-    meta.detector = opt.detector;
-    meta.num_modules = static_cast<int>(corpus.size());
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      meta.workers = static_cast<int>(stats_.agents_joined);
-    }
-    meta.rounds_requested = rounds;
-    meta.rounds_executed = static_cast<int>(result.rounds.size());
-    meta.converged = result.converged;
-    meta.interrupted = result.interrupted;
-    meta.sandbox = opt.sandbox.enabled;
-    meta.scale = opt.scale;
-    meta.seed = opt.seed;
-    meta.durability =
-        journal_lost_.load(std::memory_order_relaxed) ? "degraded" : "ok";
-    if (const io::ChaosFs* chaos = io::InstalledChaosFs()) {
-      meta.storage_faults = chaos->stats().Classes();
-    }
-    const std::filesystem::path dir(opt.out_dir);
-    const std::string json_path = (dir / "campaign.json").string();
-    const std::string sarif_path = (dir / "campaign.sarif").string();
-    const std::vector<campaign::BugReportMgr::UniqueBug> bugs = mgr.Bugs();
-    int sink_err = 0;
-    if (campaign::WriteFileAtomic(
-            json_path,
-            campaign::RenderJson(meta, result.rounds, bugs, result.outcomes),
-            &sink_err)) {
-      result.json_path = json_path;
-    } else if (sink_err == ENOSPC) {
-      storage_drain_.store(true, std::memory_order_relaxed);
-    }
-    if (campaign::WriteFileAtomic(
-            sarif_path, campaign::RenderSarif(meta, bugs, result.outcomes),
-            &sink_err)) {
-      result.sarif_path = sarif_path;
-    } else if (sink_err == ENOSPC) {
-      storage_drain_.store(true, std::memory_order_relaxed);
-    }
-  };
+int FleetCoordinator::workers() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<int>(stats_.agents_joined);
+}
 
-  // Disk-full drains exactly like a delivered signal: the drain loop below
-  // polls this closure and stops granting leases on the first true.
-  const std::function<bool()> interrupt = [&]() {
-    return storage_drain_.load(std::memory_order_relaxed) ||
-           (opt.interrupt && opt.interrupt());
-  };
-  bool fleet_dead = false;
-  for (int round = start_round; !already_done && round <= rounds; ++round) {
-    if (interrupt()) {
-      result.interrupted = true;
-      break;
-    }
-    std::vector<RunOutcome> replayed;
-    if (round == start_round && !pending.empty()) {
-      replayed = std::move(pending);
-      pending.clear();
-    }
-
-    // Stage the round's job table. Replayed ledger records (resume of an
-    // interrupted round) enter as already-done slots: reconstructed, never
-    // re-executed, never re-journaled.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      slots_.clear();
-      open_leases_.clear();
-      done_count_ = 0;
-      round_ = round;
-      for (size_t m = 0; m < corpus.size(); ++m) {
-        if (quarantined[m]) {
-          continue;
-        }
-        JobSlot slot;
-        slot.module_index = static_cast<int>(m);
-        for (RunOutcome& o : replayed) {
-          if (o.module_index == static_cast<int>(m)) {
-            slot.phase = JobPhase::kDone;
-            slot.replayed = true;
-            slot.outcome = std::move(o);
-            ++done_count_;
-            break;
-          }
-        }
-        slots_.push_back(std::move(slot));
-      }
-      if (slots_.empty()) {
-        break;
-      }
-      round_active_ = true;
-      last_contact_us_ = NowMicros();
-    }
-    round_cv_.notify_all();
-
-    const Micros round_start = NowMicros();
-    bool drained = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      // Journals an eviction verdict without holding the coordinator lock over
-      // the fsync — handlers must never queue behind ledger I/O.
-      const auto journal_evictions = [&](std::vector<std::string> names) {
-        if (names.empty() || !journal_.is_open()) {
-          return;
-        }
-        lock.unlock();
-        for (const std::string& name : names) {
-          journal_.AppendEvent(
-              "agent-evicted",
-              name + " silent for over " +
-                  std::to_string(options_.heartbeat_timeout_ms) +
-                  " ms in round " + std::to_string(round) +
-                  "; its leases are released for stealing");
-        }
-        lock.lock();
-      };
-      while (done_count_ < slots_.size()) {
-        round_cv_.wait_for(lock, std::chrono::milliseconds(50));
-        journal_evictions(SweepEvictionsLocked(NowMicros()));
-        if (interrupt() && !interrupted_) {
-          // Graceful drain: stop granting (agents get "done" on their next
-          // lease), let in-flight jobs publish, then stop waiting for the rest.
-          // Only leases held by live agents are worth waiting on — an evicted
-          // holder's publish window already closed with its eviction.
-          interrupted_ = true;
-          const Micros drain_deadline =
-              NowMicros() + static_cast<Micros>(options_.lease_timeout_ms) * 1000;
-          while (LiveOpenLeasesLocked() > 0 && NowMicros() < drain_deadline) {
-            round_cv_.wait_for(lock, std::chrono::milliseconds(50));
-            journal_evictions(SweepEvictionsLocked(NowMicros()));
-          }
-          drained = true;
-          break;
-        }
-        if (options_.agent_idle_timeout_ms > 0 && done_count_ < slots_.size() &&
-            NowMicros() - last_contact_us_ >
-                static_cast<Micros>(options_.agent_idle_timeout_ms) * 1000) {
-          fleet_dead = true;
-          break;
-        }
-      }
-      round_active_ = false;
-    }
-
-    if (fleet_dead) {
-      result.error = "fleet stalled: no agent contact for " +
-                     std::to_string(options_.agent_idle_timeout_ms) +
-                     " ms with runs still pending — all agents presumed dead; "
-                     "rerun with resume to continue";
-      break;
-    }
-
-    // Round processing, in module order — identical to the single-process
-    // campaign's barrier, so every artifact is deterministic for a given seed no
-    // matter which agents ran which jobs in what order.
-    campaign::RoundStats stats;
-    stats.round = round;
-    stats.wall_us = NowMicros() - round_start;
-    stats.interrupted = drained;
-    TrapFile round_traps;
-    std::vector<JobSlot> slots;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      slots = std::move(slots_);
-      slots_.clear();
-      // Any lease still open (a drain cut its job short, or a straggler is about
-      // to publish a stolen job's duplicate) now dangles; kill it so a late
-      // publish is acked as a duplicate instead of touching the harvested round.
-      open_leases_.clear();
-    }
-    for (JobSlot& slot : slots) {
-      if (slot.phase != JobPhase::kDone) {
-        continue;  // drained before this job finished: resume re-executes it
-      }
-      RunOutcome& outcome = slot.outcome;
-      if (outcome.status == RunStatus::kSkipped) {
-        continue;
-      }
-      ++stats.runs;
-      if (outcome.status == RunStatus::kCrashed) {
-        ++stats.crashed;
-        if (outcome.killed_by_signal != 0) {
-          ++stats.killed_by_signal;
-        }
-      }
-      if (outcome.status == RunStatus::kTimedOut) {
-        ++stats.timed_out;
-      }
-      if (outcome.attempts > 1) {
-        ++stats.retried;
-      }
-      if (outcome.quarantined) {
-        ++stats.quarantined;
-        if (outcome.module_index >= 0 &&
-            outcome.module_index < static_cast<int>(quarantined.size())) {
-          quarantined[outcome.module_index] = 1;
-        }
-      }
-      stats.delays_injected += outcome.delays_injected;
-      stats.delays_early_woken += outcome.delays_early_woken;
-      stats.delays_aborted_stall += outcome.delays_aborted_stall;
-      stats.delays_skipped_budget += outcome.delays_skipped_budget;
-      if (outcome.runtime_disabled) {
-        ++stats.runtime_disabled;
-      }
-      stats.retrapped_imported += outcome.retrapped_imported;
-      result.false_positives += outcome.false_positives;
-      for (const campaign::BugObservation& obs : outcome.observations) {
-        if (mgr.Ingest(obs)) {
-          ++stats.new_unique_bugs;
-        }
-      }
-      round_traps.Merge(outcome.traps);
-      result.outcomes.push_back(std::move(outcome));
-    }
-    stats.trap_pairs_after = store_.CommitRound(round_traps);
-    result.rounds.push_back(stats);
-
-    if (drained) {
-      result.interrupted = true;
-      break;
-    }
-
-    bool trap_store_committed = true;
-    if (persist) {
-      int save_err = 0;
-      if (!store_.Snapshot().SaveTo(result.trap_path, &save_err)) {
-        trap_store_committed = false;
-        result.trap_path.clear();
-        if (save_err == ENOSPC) {
-          storage_drain_.store(true, std::memory_order_relaxed);
-        }
-      }
-    }
-    if (journal_.is_open() && trap_store_committed) {
-      // Round record strictly after the trap store hit disk — and withheld
-      // when the save failed, so "round record implies traps.tsvd reflects the
-      // round" survives storage faults; resume re-executes the round instead.
-      if (!journal_.AppendRoundComplete(stats, mgr.UniqueBugCount())) {
-        ApplyStorageErrno(journal_.last_errno());
-      }
-      if (journal_.is_open() && opt.journal_snapshot_every > 0 &&
-          journal_.run_records() - last_snapshot_mark >=
-              static_cast<uint64_t>(opt.journal_snapshot_every)) {
-        int snap_err = 0;
-        if (campaign::SaveBugMgrSnapshot(
-                campaign::CampaignJournal::SnapshotPathIn(opt.out_dir), mgr,
-                journal_.run_records(), DurableFileSyncEnabled(), &snap_err)) {
-          last_snapshot_mark = journal_.run_records();
-        } else if (snap_err == ENOSPC) {
-          storage_drain_.store(true, std::memory_order_relaxed);
-        }
-      }
-    }
-    if (opt.stop_when_converged && stats.new_unique_bugs == 0) {
-      result.converged = true;
-    }
-    flush_reports();
-    if (result.converged) {
-      break;
-    }
-  }
-
+campaign::RoundRun FleetCoordinator::ExecuteRound(
+    const std::vector<campaign::RunJob>& jobs, const campaign::RoundHooks& hooks) {
+  const int round = jobs.front().round;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    finished_ = true;
-    round_active_ = false;
+    slots_.clear();
+    for (const campaign::RunJob& job : jobs) {
+      JobSlot slot;
+      slot.module_index = job.module_index;
+      slots_.push_back(std::move(slot));
+    }
+    open_leases_.clear();
+    done_count_ = 0;
+    round_ = round;
+    commit_ = &hooks.commit;
+    round_active_ = true;
+    last_contact_us_ = NowMicros();
   }
-  round_cv_.notify_all();
 
-  result.bugs = mgr.Bugs();
-  result.merged_traps = store_.Snapshot();
-  if (storage_drain_.load(std::memory_order_relaxed)) {
-    result.disk_full = true;
-    result.interrupted = true;
+  campaign::RoundRun run;
+  std::vector<JobSlot> slots;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    // Journals an eviction verdict without holding the coordinator lock over
+    // the fsync — handlers must never queue behind ledger I/O.
+    const auto journal_evictions = [&](const std::vector<std::string>& names) {
+      if (names.empty()) {
+        return;
+      }
+      lock.unlock();
+      for (const std::string& name : names) {
+        hooks.event("agent-evicted",
+                    name + " silent for over " +
+                        std::to_string(options_.heartbeat_timeout_ms) +
+                        " ms in round " + std::to_string(round) +
+                        "; its leases are released for stealing");
+      }
+      lock.lock();
+    };
+    while (done_count_ < slots_.size()) {
+      round_cv_.wait_for(lock, std::chrono::milliseconds(50));
+      journal_evictions(SweepEvictionsLocked(NowMicros()));
+      if (hooks.interrupt() && !interrupted_) {
+        // Graceful drain: stop granting (agents get "done" on their next
+        // lease), let in-flight jobs publish, then stop waiting for the rest.
+        // Only leases held by live agents are worth waiting on — an evicted
+        // holder's publish window already closed with its eviction.
+        interrupted_ = true;
+        const Micros drain_deadline =
+            NowMicros() + static_cast<Micros>(options_.lease_timeout_ms) * 1000;
+        while (LiveOpenLeasesLocked() > 0 && NowMicros() < drain_deadline) {
+          round_cv_.wait_for(lock, std::chrono::milliseconds(50));
+          journal_evictions(SweepEvictionsLocked(NowMicros()));
+        }
+        run.drained = true;
+        break;
+      }
+      if (options_.agent_idle_timeout_ms > 0 && done_count_ < slots_.size() &&
+          NowMicros() - last_contact_us_ >
+              static_cast<Micros>(options_.agent_idle_timeout_ms) * 1000) {
+        run.fatal = "fleet stalled: no agent contact for " +
+                    std::to_string(options_.agent_idle_timeout_ms) +
+                    " ms with runs still pending — all agents presumed dead; "
+                    "rerun with resume to continue";
+        break;
+      }
+    }
+    round_active_ = false;
+    // An accepted result may still be writing its ledger record; the hook
+    // must not outlive the round.
+    round_cv_.wait(lock, [this] { return committing_ == 0; });
+    commit_ = nullptr;
+    slots = std::move(slots_);
+    slots_.clear();
+    // Any lease still open (a drain cut its job short, or a straggler is about
+    // to publish a stolen job's duplicate) now dangles; kill it so a late
+    // publish is acked as a duplicate instead of touching the harvested round.
+    open_leases_.clear();
   }
-  result.journal_degraded = journal_lost_.load(std::memory_order_relaxed);
-  if (journal_.is_open() && !result.interrupted && !fleet_dead && !already_done) {
-    if (!journal_.AppendCampaignComplete(result.converged)) {
-      ApplyStorageErrno(journal_.last_errno());
-      result.disk_full = storage_drain_.load(std::memory_order_relaxed);
-      result.journal_degraded = journal_lost_.load(std::memory_order_relaxed);
+  for (JobSlot& slot : slots) {
+    if (slot.phase == JobPhase::kDone) {
+      run.outcomes.push_back(std::move(slot.outcome));
     }
   }
-  journal_.Close();
-  flush_reports();
-  return result;
+  return run;
 }
 
 }  // namespace tsvd::fleet

@@ -1,17 +1,17 @@
-// Fleet coordinator: the distributed form of RunCampaign (DESIGN.md §13).
+// Fleet coordinator: the distributed front end of the campaign (DESIGN.md §13).
 //
-// The coordinator owns every piece of campaign state — the corpus identity, the
-// versioned trap store, the crash-consistent journal, the BugReportMgr — and
-// distributes only *execution*: (module, round) jobs leased to agents over the
-// abstracted transport, stolen back when a lease expires (the agent died or
-// stalled), with idempotent acceptance so a stolen-then-also-published job can
-// never double-count bugs. Rounds are barriers, exactly as in the single-process
-// campaign: every job of round r imports the same trap-store snapshot, and the
-// store, journal, reports, and convergence decision advance only when the round's
-// last outcome is in. With identical options and seed, a fleet of any size —
-// including one that lost agents to SIGKILL mid-round — reports the same
-// unique-bug set as `RunCampaign`, because both drive the shared execution core
-// (src/campaign/run_executor.h) with identical inputs in identical order.
+// The round loop, the journal, the BugReportMgr and the reports belong to
+// campaign::CampaignDriver, exactly as in RunCampaign. The coordinator is the
+// driver's lease executor: it distributes *execution* — (module, round) jobs
+// leased to agents over the abstracted transport, stolen back when a lease
+// expires (the agent died or stalled), with idempotent acceptance so a
+// stolen-then-also-published job can never double-count bugs — and serves the
+// versioned trap store, which advances only at the driver's round boundary, so
+// every job of round r imports the same snapshot. With identical options and
+// seed, a fleet of any size — including one that lost agents to SIGKILL
+// mid-round — reports the same unique-bug set as `RunCampaign`, because agents
+// drive the shared execution core (src/campaign/run_executor.h) with identical
+// inputs and the driver ingests in identical order.
 //
 // Over a lossy network (DESIGN.md §14) the same contract holds: replayed
 // lease/result requests are answered from a per-agent nonce cache instead of
@@ -21,18 +21,17 @@
 #ifndef SRC_FLEET_COORDINATOR_H_
 #define SRC_FLEET_COORDINATOR_H_
 
-#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
-#include <condition_variable>
-#include <mutex>
-
 #include "src/campaign/campaign.h"
-#include "src/campaign/journal.h"
+#include "src/campaign/driver.h"
 #include "src/campaign/json.h"
 #include "src/fleet/federation.h"
 #include "src/fleet/transport.h"
@@ -83,10 +82,10 @@ struct FleetStats {
   uint64_t hellos_rejected_auth = 0;  // joins refused by the auth_token check
 };
 
-class FleetCoordinator {
+class FleetCoordinator : private campaign::RoundExecutor {
  public:
   explicit FleetCoordinator(FleetOptions options);
-  ~FleetCoordinator();
+  ~FleetCoordinator() override;
   FleetCoordinator(const FleetCoordinator&) = delete;
   FleetCoordinator& operator=(const FleetCoordinator&) = delete;
 
@@ -109,7 +108,6 @@ class FleetCoordinator {
     int module_index = -1;
     JobPhase phase = JobPhase::kPending;
     Micros lease_deadline_us = 0;
-    bool replayed = false;  // restored from the journal; never journaled again
     campaign::RunOutcome outcome;
   };
   struct OpenLease {
@@ -135,11 +133,17 @@ class FleetCoordinator {
   campaign::Json HandleResult(const campaign::Json& request);
   campaign::Json HandleHeartbeat(const campaign::Json& request);
 
-  // Errno-directed storage degradation (DESIGN.md §15), mirroring the
-  // single-process campaign: ENOSPC arms storage_drain_ (graceful drain +
-  // disk_full result), anything else arms journal_lost_ (journal-less degraded
-  // mode, reports stamped "durability": "degraded").
-  void ApplyStorageErrno(int err);
+  // The driver's seam (src/campaign/driver.h). Restore also starts the
+  // transport and the federation, so nothing is served before the resumed
+  // store is in place.
+  bool Restore(TrapFile traps, std::string* error) override;
+  TrapFile Snapshot() const override { return store_.Snapshot(); }
+  size_t CommitRound(const TrapFile& round_traps) override {
+    return store_.CommitRound(round_traps);
+  }
+  campaign::RoundRun ExecuteRound(const std::vector<campaign::RunJob>& jobs,
+                                  const campaign::RoundHooks& hooks) override;
+  int workers() const override;
 
   // Marks agents silent past heartbeat_timeout_ms as evicted and zeroes the
   // lease deadlines they hold. Returns the newly evicted names so the caller
@@ -153,24 +157,24 @@ class FleetCoordinator {
   std::unique_ptr<TransportServer> server_;
   std::unique_ptr<StoreFederator> federator_;
   TrapStoreService store_;
-  campaign::CampaignJournal journal_;
 
   mutable std::mutex mu_;
-  std::condition_variable round_cv_;  // Run() waits for the round's last outcome
+  std::condition_variable round_cv_;  // ExecuteRound waits for the last outcome
   bool round_active_ = false;
   bool finished_ = false;
   bool interrupted_ = false;
   int round_ = 0;
   std::vector<JobSlot> slots_;
   size_t done_count_ = 0;
+  size_t committing_ = 0;  // accepted results whose ledger record is in flight
+  // The round's journal hook; set while a round executes.
+  const std::function<void(const campaign::RunOutcome&)>* commit_ = nullptr;
   uint64_t next_lease_ = 1;
   std::map<uint64_t, OpenLease> open_leases_;  // lease id -> holder + slot
   std::map<std::string, AgentInfo> agents_;
   Micros last_contact_us_ = 0;
-  std::atomic<bool> storage_drain_{false};  // ENOSPC: drain like a signal
-  std::atomic<bool> journal_lost_{false};   // EIO: journal-less degraded mode
   FleetStats stats_;
-  std::vector<std::string> corpus_names_;  // for backfilling outcome.module
+  size_t corpus_size_ = 0;
 };
 
 }  // namespace tsvd::fleet
