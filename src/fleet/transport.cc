@@ -1,24 +1,18 @@
 #include "src/fleet/transport.h"
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <sstream>
 #include <thread>
-#include <vector>
 
 #include "src/common/clock.h"
-#include "src/fleet/transport_tcp.h"
-#include "src/fleet/wire.h"
+#include "src/fleet/transport_stream.h"
 #include "src/io/vfs.h"
 
 namespace tsvd::fleet {
@@ -33,215 +27,6 @@ constexpr char kTcpScheme[] = "tcp:";
 bool HasScheme(const std::string& address, const char* scheme) {
   return address.rfind(scheme, 0) == 0;
 }
-
-// ---------------------------------------------------------------------------
-// Unix-domain-socket backend: newline-delimited compact JSON over a stream
-// socket, one service thread per connection. Byte movement shares the
-// EINTR-safe loops in wire.h with the TCP backend.
-// ---------------------------------------------------------------------------
-
-bool SendAll(int fd, const std::string& data) {
-  return wire::SendAll(fd, data.data(), data.size());
-}
-
-// Reads from `fd` into `buffer` until it holds a full '\n'-terminated line;
-// extracts that line (newline stripped) into `line`. False on EOF/error.
-bool ReadLine(int fd, std::string* buffer, std::string* line) {
-  while (true) {
-    const size_t pos = buffer->find('\n');
-    if (pos != std::string::npos) {
-      line->assign(*buffer, 0, pos);
-      buffer->erase(0, pos + 1);
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n <= 0) {
-      return false;
-    }
-    buffer->append(chunk, static_cast<size_t>(n));
-  }
-}
-
-class UdsServer : public TransportServer {
- public:
-  explicit UdsServer(std::string path) : path_(std::move(path)) {}
-  ~UdsServer() override { Stop(); }
-
-  bool Start(RequestHandler handler, std::string* error) override {
-    sockaddr_un addr{};
-    if (path_.size() >= sizeof(addr.sun_path)) {
-      *error = "socket path too long: " + path_;
-      return false;
-    }
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) {
-      *error = std::string("socket: ") + std::strerror(errno);
-      return false;
-    }
-    ::unlink(path_.c_str());  // a previous server's stale endpoint
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, path_.c_str(), path_.size() + 1);
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(listen_fd_, 128) != 0) {
-      *error = "bind/listen " + path_ + ": " + std::strerror(errno);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return false;
-    }
-    handler_ = std::move(handler);
-    accept_thread_ = std::thread([this] { AcceptLoop(); });
-    return true;
-  }
-
-  void Stop() override {
-    if (listen_fd_ < 0) {
-      return;
-    }
-    stopping_.store(true, std::memory_order_relaxed);
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    if (accept_thread_.joinable()) {
-      accept_thread_.join();
-    }
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const int fd : conn_fds_) {
-        ::shutdown(fd, SHUT_RDWR);
-      }
-    }
-    for (std::thread& t : conn_threads_) {
-      if (t.joinable()) {
-        t.join();
-      }
-    }
-    conn_threads_.clear();
-    conn_fds_.clear();
-    ::unlink(path_.c_str());
-  }
-
- private:
-  void AcceptLoop() {
-    while (!stopping_.load(std::memory_order_relaxed)) {
-      const int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) {
-          continue;
-        }
-        break;  // shutdown (or a fatal accept error): stop serving
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      conn_fds_.push_back(fd);
-      conn_threads_.emplace_back([this, fd] { ServeConnection(fd); });
-    }
-  }
-
-  void ServeConnection(int fd) {
-    std::string buffer, line;
-    while (!stopping_.load(std::memory_order_relaxed) &&
-           ReadLine(fd, &buffer, &line)) {
-      Json request;
-      Json response;
-      if (Json::Parse(line, &request)) {
-        response = handler_(request);
-      } else {
-        response = Json::MakeObject();
-        response.Set("type", "error");
-        response.Set("error", "unparseable request");
-      }
-      if (!SendAll(fd, response.Dump() + "\n")) {
-        break;
-      }
-    }
-    ::close(fd);
-  }
-
-  const std::string path_;
-  RequestHandler handler_;
-  int listen_fd_ = -1;
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-  std::mutex mu_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
-};
-
-class UdsClient : public TransportClient {
- public:
-  explicit UdsClient(std::string path) : path_(std::move(path)) {}
-  ~UdsClient() override {
-    if (fd_ >= 0) {
-      ::close(fd_);
-    }
-  }
-
-  void set_connect_timeout_ms(int ms) override { connect_timeout_ms_ = ms; }
-
-  bool Call(const Json& request, Json* response, std::string* error) override {
-    if (fd_ < 0 && !Connect(error)) {
-      return false;
-    }
-    std::string line;
-    errno = 0;
-    if (!SendAll(fd_, request.Dump() + "\n") ||
-        !ReadLine(fd_, &buffer_, &line)) {
-      const int err = errno;  // captured before close can overwrite it
-      // Sever the exchange: the next Call reconnects from scratch.
-      ::close(fd_);
-      fd_ = -1;
-      buffer_.clear();
-      *error = "coordinator connection lost (" + path_ + "): " +
-               (err != 0 ? std::strerror(err) : "connection closed by peer");
-      return false;
-    }
-    if (!Json::Parse(line, response)) {
-      *error = "unparseable response from coordinator";
-      return false;
-    }
-    return true;
-  }
-
- private:
-  bool Connect(std::string* error) {
-    sockaddr_un addr{};
-    if (path_.size() >= sizeof(addr.sun_path)) {
-      *error = "socket path too long: " + path_;
-      return false;
-    }
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, path_.c_str(), path_.size() + 1);
-    const Micros deadline =
-        NowMicros() + static_cast<Micros>(connect_timeout_ms_) * 1000;
-    while (true) {
-      const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-      if (fd < 0) {
-        *error = std::string("socket: ") + std::strerror(errno);
-        return false;
-      }
-      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-        fd_ = fd;
-        return true;
-      }
-      ::close(fd);
-      // The coordinator may simply not be listening yet (agents are often
-      // spawned first); retry until the deadline.
-      if (NowMicros() >= deadline) {
-        *error = "connect " + path_ + ": " + std::strerror(errno);
-        return false;
-      }
-      SleepMicros(20'000);
-    }
-  }
-
-  const std::string path_;
-  int connect_timeout_ms_ = 10'000;
-  int fd_ = -1;
-  std::string buffer_;
-};
 
 // ---------------------------------------------------------------------------
 // File-queue backend: requests are files renamed into <dir>/req/, responses into
@@ -449,14 +234,11 @@ class DirClient : public TransportClient {
 
 std::unique_ptr<TransportServer> MakeTransportServer(const std::string& address,
                                                      std::string* error) {
-  if (HasScheme(address, kUdsScheme)) {
-    return std::make_unique<UdsServer>(address.substr(sizeof(kUdsScheme) - 1));
-  }
   if (HasScheme(address, kDirScheme)) {
     return std::make_unique<DirServer>(address.substr(sizeof(kDirScheme) - 1));
   }
-  if (HasScheme(address, kTcpScheme)) {
-    return MakeTcpTransportServer(address.substr(sizeof(kTcpScheme) - 1), error);
+  if (HasScheme(address, kUdsScheme) || HasScheme(address, kTcpScheme)) {
+    return MakeStreamTransportServer(address, error);
   }
   if (error != nullptr) {
     *error = "unknown transport scheme in \"" + address +
@@ -467,14 +249,11 @@ std::unique_ptr<TransportServer> MakeTransportServer(const std::string& address,
 
 std::unique_ptr<TransportClient> MakeTransportClient(const std::string& address,
                                                      std::string* error) {
-  if (HasScheme(address, kUdsScheme)) {
-    return std::make_unique<UdsClient>(address.substr(sizeof(kUdsScheme) - 1));
-  }
   if (HasScheme(address, kDirScheme)) {
     return std::make_unique<DirClient>(address.substr(sizeof(kDirScheme) - 1));
   }
-  if (HasScheme(address, kTcpScheme)) {
-    return MakeTcpTransportClient(address.substr(sizeof(kTcpScheme) - 1), error);
+  if (HasScheme(address, kUdsScheme) || HasScheme(address, kTcpScheme)) {
+    return MakeStreamTransportClient(address, error);
   }
   if (error != nullptr) {
     *error = "unknown transport scheme in \"" + address +

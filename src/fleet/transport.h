@@ -4,11 +4,8 @@
 // the wire is abstracted behind two tiny interfaces and an address scheme.
 // Three backends ship today:
 //
-//   "uds:<path>"  Unix-domain stream socket. One listener, one thread per accepted
-//                 connection, newline-delimited compact JSON (the campaign Json
-//                 model escapes control characters, so a document never contains a
-//                 raw newline). The low-latency backend; what tsvd_fleet defaults
-//                 to.
+//   "uds:<path>"  Unix-domain stream socket: the low-latency backend, what
+//                 tsvd_fleet defaults to.
 //
 //   "dir:<path>"  File-based queue: requests are files atomically renamed into
 //                 <path>/req/, responses into <path>/resp/, matched by file name.
@@ -17,8 +14,10 @@
 //                 trace; higher latency (exponential-backoff polling).
 //
 //   "tcp:<host>:<port>[?backlog=N]"
-//                 TCP stream socket with length-prefixed frames — the backend
-//                 that leaves the machine (DESIGN.md §14, transport_tcp.h).
+//                 TCP stream socket — the backend that leaves the machine.
+//
+// uds: and tcp: are one stream server and client over length-prefixed frames
+// (transport_stream.h, wire.h); only bind/connect differ by address family.
 //
 // Clients retry connection establishment — agents may start before the coordinator
 // listens — but a Call on an established exchange fails rather than retries, so a

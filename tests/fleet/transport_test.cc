@@ -1,20 +1,23 @@
 // Transport conformance, run against every backend: request/response integrity,
 // concurrent clients, clients that start before the server listens (agents race
 // the coordinator), and clean Stop. The same suite binds to "uds:", "dir:", and
-// "tcp:" addresses, so every backend inherits the contract. TCP additionally
-// gets raw-socket framing-robustness tests (torn frames, lying length prefixes,
-// garbage payloads) that the generic client interface cannot express.
+// "tcp:" addresses, so every backend inherits the contract. The two stream
+// backends additionally get raw-socket framing-robustness tests (torn frames,
+// lying length prefixes, garbage payloads) that the generic client interface
+// cannot express, and a reconnect-churn test of connection reaping.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -225,15 +228,40 @@ TEST(TransportFactoryTest, MalformedTcpAddressesAreRejectedWithReasons) {
   }
 }
 
-// --- TCP-specific framing robustness -----------------------------------------
+// --- Stream-server robustness, over both stream backends ---------------------
 // These speak raw bytes at the listener, which the TransportClient interface
 // cannot do: a hostile or truncated byte stream must cost one connection, never
-// the server.
+// the server. uds: and tcp: share one server, so both get the same abuse.
 
-class TcpFramingTest : public testing::Test {
+// Entries of a /proc/self directory: live threads (task) or open fds (fd).
+size_t CountProcEntries(const char* dir) {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry : fs::directory_iterator(dir)) {
+    ++n;
+  }
+  return n;
+}
+
+// This process's virtual size in kB. An exited thread that nobody joined keeps
+// its stack mapped, so unreaped connections show here even after their thread
+// and fd are gone.
+long VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::stol(line.substr(7));
+    }
+  }
+  return -1;
+}
+
+class StreamTest : public testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
-    port_ = ProbeFreeTcpPort();
+    if (std::string(GetParam()) == "tcp") {
+      port_ = ProbeFreeTcpPort();
+    }
     std::string error;
     server_ = MakeTransportServer(Address(), &error);
     ASSERT_NE(server_, nullptr) << error;
@@ -241,17 +269,31 @@ class TcpFramingTest : public testing::Test {
   }
   void TearDown() override { server_->Stop(); }
 
-  std::string Address() const { return "tcp:127.0.0.1:" + std::to_string(port_); }
+  std::string SocketPath() const { return dir_.path + "/endpoint"; }
+  std::string Address() const {
+    return port_ != 0 ? "tcp:127.0.0.1:" + std::to_string(port_)
+                      : "uds:" + SocketPath();
+  }
 
   int RawConnect() {
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    int fd = -1;
+    int rc = -1;
+    if (port_ != 0) {
+      fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+      sockaddr_in addr{};
+      addr.sin_family = AF_INET;
+      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+      addr.sin_port = htons(static_cast<uint16_t>(port_));
+      rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+    } else {
+      fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+      sockaddr_un addr{};
+      addr.sun_family = AF_UNIX;
+      std::strncpy(addr.sun_path, SocketPath().c_str(), sizeof(addr.sun_path) - 1);
+      rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+    }
     EXPECT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port_));
-    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
-        << std::strerror(errno);
+    EXPECT_EQ(rc, 0) << std::strerror(errno);
     return fd;
   }
 
@@ -268,11 +310,12 @@ class TcpFramingTest : public testing::Test {
     EXPECT_EQ(response.Find("echo")->as_string(), "still alive?");
   }
 
+  ScopedTempDir dir_;
   int port_ = 0;
   std::unique_ptr<TransportServer> server_;
 };
 
-TEST_F(TcpFramingTest, TornFrameCostsOnlyThatConnection) {
+TEST_P(StreamTest, TornFrameCostsOnlyThatConnection) {
   const int fd = RawConnect();
   // Header promises 64 bytes; deliver 5 and hang up mid-frame.
   const unsigned char header[4] = {0, 0, 0, 64};
@@ -282,7 +325,7 @@ TEST_F(TcpFramingTest, TornFrameCostsOnlyThatConnection) {
   ExpectServerStillServes();
 }
 
-TEST_F(TcpFramingTest, LyingLengthPrefixIsRejectedNotAllocated) {
+TEST_P(StreamTest, LyingLengthPrefixIsRejectedNotAllocated) {
   const int fd = RawConnect();
   // 0xFFFFFFFF-byte frame: far past the 64 MiB guard. The server must refuse
   // (close the connection) without trying to buffer 4 GiB.
@@ -295,7 +338,7 @@ TEST_F(TcpFramingTest, LyingLengthPrefixIsRejectedNotAllocated) {
   ExpectServerStillServes();
 }
 
-TEST_F(TcpFramingTest, GarbagePayloadGetsAnErrorResponse) {
+TEST_P(StreamTest, GarbagePayloadGetsAnErrorResponse) {
   const int fd = RawConnect();
   const std::string garbage = "this is not json";
   const uint32_t be_len = htonl(static_cast<uint32_t>(garbage.size()));
@@ -321,6 +364,40 @@ TEST_F(TcpFramingTest, GarbagePayloadGetsAnErrorResponse) {
   ::close(fd);
   ExpectServerStillServes();
 }
+
+// Reconnect churn must not grow a long-lived server: each closed connection's
+// thread is joined and its fd closed, so 200 sequential connect/call/close
+// cycles leave the thread and fd counts where they started and no stacks of
+// unjoined threads behind.
+TEST_P(StreamTest, SequentialReconnectChurnReapsEveryConnection) {
+  ExpectServerStillServes();  // warm up lazily created process state
+  const size_t tasks_before = CountProcEntries("/proc/self/task");
+  const size_t fds_before = CountProcEntries("/proc/self/fd");
+  const long vm_before_kb = VmSizeKb();
+  for (int i = 0; i < 200; ++i) {
+    ExpectServerStillServes();
+  }
+  // The last connection's thread may still be on its way out.
+  size_t tasks = 0;
+  size_t fds = 0;
+  for (int wait = 0; wait < 100; ++wait) {
+    tasks = CountProcEntries("/proc/self/task");
+    fds = CountProcEntries("/proc/self/fd");
+    if (tasks <= tasks_before + 2 && fds <= fds_before + 2) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_LE(tasks, tasks_before + 2);
+  EXPECT_LE(fds, fds_before + 2);
+  // 200 unjoined 8 MiB stacks would add about 1.6 GiB.
+  EXPECT_LT(VmSizeKb() - vm_before_kb, 128 * 1024);
+}
+
+INSTANTIATE_TEST_SUITE_P(StreamBackends, StreamTest, testing::Values("uds", "tcp"),
+                         [](const testing::TestParamInfo<const char*>& param) {
+                           return std::string(param.param);
+                         });
 
 TEST(TcpClientErrorTest, ConnectFailureNamesEndpointAndErrnoCause) {
   // Nothing listens on the probed port; the refusal must name the endpoint and
