@@ -94,8 +94,11 @@ void NearMissTracker::RecordAndFindConflicts(const Access& access, ConflictBuffe
     for (int k = 0; k < block->count; ++k) {
       const Record& rec = ring[i];
       const bool rec_write = (block->writes >> i) & 1;
+      // Within the window on either side: a record stamped after this access
+      // (its thread read the clock later but recorded first) is no nearer.
+      const Micros gap = access.time - rec.time;
       if (rec.tid != access.tid && (write || rec_write) &&
-          (window_us_ < 0 || access.time - rec.time <= window_us_)) {
+          (window_us_ < 0 || (gap <= window_us_ && -gap <= window_us_))) {
         out.push_back(NearMiss{rec.op, ((block->concurrent >> i) & 1) != 0});
       }
       if (++i == history_) {

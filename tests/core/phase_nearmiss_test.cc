@@ -275,6 +275,22 @@ TEST(NearMissTest, RecycledBlockStartsEmptyForALateStampedAccess) {
   }
 }
 
+// A near miss is two accesses within the window of each other, whichever was
+// stamped first. A thread can read the clock, lose the CPU, and record after a
+// peer's later-stamped record: that record pairs with it only if it is within
+// the window.
+TEST(NearMissTest, LaterStampedRecordPairsOnlyWithinTheWindow) {
+  NearMissTracker tracker(NearMissConfig(1000, 5));
+  tracker.RecordAndFindConflicts(At(1, 0x10, 1, OpKind::kWrite, 10'001));
+  EXPECT_TRUE(tracker.RecordAndFindConflicts(At(2, 0x10, 2, OpKind::kWrite, 2)).empty())
+      << "a record stamped 9,999 us after the access is outside a 1,000 us window";
+
+  tracker.RecordAndFindConflicts(At(1, 0x20, 3, OpKind::kWrite, 1'500));
+  const auto misses = tracker.RecordAndFindConflicts(At(2, 0x20, 4, OpKind::kRead, 600));
+  ASSERT_EQ(misses.size(), 1u) << "a record stamped 900 us after the access is within";
+  EXPECT_EQ(misses[0].other_op, 3u);
+}
+
 // Once one thread wrote every record in an object's ring, its next accesses skip the
 // conflict scan. Any other thread must still see the whole ring, oldest first, and
 // the run must end with the first foreign record: until that record leaves the
