@@ -4,13 +4,10 @@
 // rounds, and emits the unified JSON/SARIF artifact trail. With --sandbox, every run
 // executes in a forked child under a watchdog, so crashing or hanging modules cost a
 // run, never the campaign.
-#include <atomic>
-#include <csignal>
+#include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <memory>
 #include <string>
-
 #include <vector>
 
 #include "src/campaign/campaign.h"
@@ -18,27 +15,10 @@
 #include "src/campaign/run_executor.h"
 #include "src/io/chaos_fs.h"
 #include "src/sandbox/sandbox.h"
-#include "src/tasks/thread_pool.h"
+#include "tools/campaign_cli.h"
 #include "tools/flag_parser.h"
 
 namespace {
-
-// Graceful-stop contract: the handler only records the signal; the campaign's
-// interrupt poll observes it between runs, drains in-flight work, flushes the
-// journal and partial artifacts, and returns normally. A second signal while
-// draining falls through to the default disposition (immediate death) — the
-// journal is fsync'd per run, so even that loses nothing committed.
-std::atomic<int> g_stop_signal{0};
-
-void HandleStopSignal(int signal) {
-  g_stop_signal.store(signal, std::memory_order_relaxed);
-  std::signal(signal, SIG_DFL);
-}
-
-void InstallStopHandlers() {
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
-}
 
 constexpr const char kUsage[] =
     R"(tsvd_campaign: run a multi-round TSVD campaign over the synthetic corpus.
@@ -127,79 +107,56 @@ int ListModules(const tsvd::campaign::CampaignOptions& options, bool as_json) {
   const tsvd::campaign::CampaignCorpus corpus =
       tsvd::campaign::BuildCampaignCorpus(options);
 
-  if (as_json) {
-    Json doc = Json::MakeObject();
-    doc.Set("detector", options.detector);
-    doc.Set("seed", options.seed);
-    doc.Set("num_modules", static_cast<int64_t>(corpus.modules.size()));
-    Json modules = Json::MakeArray();
-    for (size_t i = 0; i < corpus.modules.size(); ++i) {
-      const auto& spec = corpus.modules[i];
-      Json m = Json::MakeObject();
-      m.Set("index", static_cast<int64_t>(i));
-      m.Set("name", spec.name);
-      m.Set("seed", spec.seed);
-      m.Set("tests", static_cast<int64_t>(spec.tests.size()));
-      int buggy = 0;
-      Json archetypes = Json::MakeArray();
-      std::vector<std::string> seen;
-      for (const auto& test : spec.tests) {
-        if (test.buggy) {
-          ++buggy;
-        }
-        bool duplicate = false;
-        for (const std::string& s : seen) {
-          if (s == test.name) {
-            duplicate = true;
-            break;
-          }
-        }
-        if (!duplicate) {
-          seen.push_back(test.name);
-          archetypes.Push(test.name);
-        }
-      }
-      m.Set("buggy_tests", buggy);
-      m.Set("archetypes", std::move(archetypes));
-      m.Set("fault", corpus.fault_kinds[i]);
-      modules.Push(std::move(m));
-    }
-    doc.Set("modules", std::move(modules));
-    std::printf("%s\n", doc.Dump(2).c_str());
-    return 0;
+  Json modules = Json::MakeArray();
+  if (!as_json) {
+    std::printf(" index  name              tests  buggy  fault     archetypes\n");
   }
-
-  std::printf(" index  name              tests  buggy  fault     archetypes\n");
   for (size_t i = 0; i < corpus.modules.size(); ++i) {
     const auto& spec = corpus.modules[i];
     int buggy = 0;
-    std::string archetypes;
-    std::vector<std::string> seen;
+    std::vector<std::string> archetypes;
     for (const auto& test : spec.tests) {
-      if (test.buggy) {
-        ++buggy;
-      }
-      bool duplicate = false;
-      for (const std::string& s : seen) {
-        if (s == test.name) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (!duplicate) {
-        seen.push_back(test.name);
-        if (!archetypes.empty()) {
-          archetypes += ", ";
-        }
-        archetypes += test.name;
+      buggy += test.buggy ? 1 : 0;
+      if (std::find(archetypes.begin(), archetypes.end(), test.name) ==
+          archetypes.end()) {
+        archetypes.push_back(test.name);
       }
     }
-    std::printf(" %5zu  %-16s %6zu %6d  %-8s  %s\n", i, spec.name.c_str(),
-                spec.tests.size(), buggy,
-                corpus.fault_kinds[i].empty() ? "-" : corpus.fault_kinds[i].c_str(),
-                archetypes.c_str());
+    if (!as_json) {
+      std::string joined;
+      for (const std::string& name : archetypes) {
+        joined += (joined.empty() ? "" : ", ") + name;
+      }
+      std::printf(" %5zu  %-16s %6zu %6d  %-8s  %s\n", i, spec.name.c_str(),
+                  spec.tests.size(), buggy,
+                  corpus.fault_kinds[i].empty() ? "-" : corpus.fault_kinds[i].c_str(),
+                  joined.c_str());
+      continue;
+    }
+    Json m = Json::MakeObject();
+    m.Set("index", static_cast<int64_t>(i));
+    m.Set("name", spec.name);
+    m.Set("seed", spec.seed);
+    m.Set("tests", static_cast<int64_t>(spec.tests.size()));
+    m.Set("buggy_tests", buggy);
+    Json names = Json::MakeArray();
+    for (const std::string& name : archetypes) {
+      names.Push(name);
+    }
+    m.Set("archetypes", std::move(names));
+    m.Set("fault", corpus.fault_kinds[i]);
+    modules.Push(std::move(m));
   }
-  std::printf(" %zu module(s)\n", corpus.modules.size());
+  if (!as_json) {
+    std::printf(" %zu module(s)\n", corpus.modules.size());
+    return 0;
+  }
+  Json doc = Json::MakeObject();
+  doc.Set("detector", options.detector);
+  doc.Set("seed", options.seed);
+  doc.Set("num_modules", static_cast<int64_t>(corpus.modules.size()));
+  doc.Set("modules", std::move(modules));
+  std::printf("%s\n", doc.Dump(2).c_str());
   return 0;
 }
 
@@ -214,38 +171,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  campaign::CampaignOptions options;
-  options.workers = static_cast<int>(flags.GetInt("workers", 4, 1, 256));
-  options.rounds = static_cast<int>(flags.GetInt("rounds", 3, 1, 1000));
-  options.num_modules = static_cast<int>(flags.GetInt("modules", 40, 1, 100000));
-  options.detector = flags.GetString("detector", "TSVD");
-  options.scale = flags.GetDouble("scale", 0.02, 1e-6, 1.0);
-  options.seed = static_cast<uint64_t>(
-      flags.GetInt("seed", 42, 0, std::numeric_limits<int64_t>::max()));
   // --max_attempts is the documented name; --retries remains as an alias.
   const int64_t retries_alias = flags.GetInt("retries", 2, 1, 10);
-  options.max_attempts =
-      static_cast<int>(flags.GetInt("max_attempts", retries_alias, 1, 10));
-  options.stop_when_converged = !flags.GetBool("no-converge", false);
-  options.out_dir = flags.GetString("out", "campaign-out");
-  options.resume = flags.GetBool("resume", false);
-  options.journal_snapshot_every =
-      static_cast<int>(flags.GetInt("journal_snapshot_every", 64, 0, 1000000));
-  options.sandbox.enabled = flags.GetBool("sandbox", false);
-  options.sandbox.run_timeout_ms =
-      static_cast<int>(flags.GetInt("run_timeout_ms", 30000, 0, 86400000));
-  options.sandbox.backoff_base_ms =
-      static_cast<int>(flags.GetInt("backoff_ms", 50, 0, 60000));
-  options.fault_crash_modules = static_cast<int>(flags.GetInt("fault-crash", 0, 0, 100));
-  options.fault_hang_modules = static_cast<int>(flags.GetInt("fault-hang", 0, 0, 100));
-  options.fault_throw_modules = static_cast<int>(flags.GetInt("fault-throw", 0, 0, 100));
-  options.fault_deadlock_modules =
-      static_cast<int>(flags.GetInt("fault-deadlock", 0, 0, 100));
-  options.delay_us_override = 1000 * flags.GetInt("delay_ms", 0, 0, 3600000);
-  options.stall_grace_us = 1000 * flags.GetInt("stall_grace_ms", -1, -1, 3600000);
-  options.max_overhead_pct = flags.GetDouble("max_overhead_pct", -1.0, -1.0, 100.0);
-  options.max_internal_errors =
-      static_cast<int>(flags.GetInt("max_internal_errors", -1, -1, 1000000));
+  campaign::CampaignOptions options =
+      tools::ParseCampaignFlags(flags, "campaign-out", retries_alias);
+  options.workers = static_cast<int>(flags.GetInt("workers", 4, 1, 256));
   const bool list_modules = flags.GetBool("list-modules", false);
   const bool list_json = flags.GetBool("json", false);
   const std::string io_chaos = flags.GetString("io_chaos", "");
@@ -273,11 +203,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  InstallStopHandlers();
-  options.interrupt = [] {
-    return g_stop_signal.load(std::memory_order_relaxed) != 0;
-  };
-
+  tools::InstallStopHandlers();
   std::printf(
       "tsvd_campaign: %s, %d modules, %d worker(s), up to %d round(s), "
       "scale %.3f, seed %llu%s%s\n",
@@ -287,126 +213,17 @@ int main(int argc, char** argv) {
       options.resume ? ", resuming" : "");
 
   const campaign::CampaignResult result = campaign::RunCampaign(options);
-  if (!result.error.empty()) {
-    std::fprintf(stderr, "tsvd_campaign: %s\n", result.error.c_str());
-    return 2;
-  }
-  if (result.resumed_runs > 0) {
-    std::printf(
-        " resumed: %llu run record(s) across %d completed round(s) replayed from "
-        "the journal%s\n",
-        static_cast<unsigned long long>(result.resumed_runs), result.resumed_rounds,
-        result.salvaged_checkpoints > 0 ? ", stale checkpoints salvaged" : "");
-  }
-
-  std::printf(
-      "\n round  runs  crash  t/out  signal  retry  quar  new-bugs  retrapped  "
-      "traps  wall\n");
-  for (const campaign::RoundStats& stats : result.rounds) {
-    std::printf(" %5d %5d %6d %6d %7d %6d %5d %9llu %10llu %6zu  %.2fs\n",
-                stats.round, stats.runs, stats.crashed, stats.timed_out,
-                stats.killed_by_signal, stats.retried, stats.quarantined,
-                static_cast<unsigned long long>(stats.new_unique_bugs),
-                static_cast<unsigned long long>(stats.retrapped_imported),
-                stats.trap_pairs_after, static_cast<double>(stats.wall_us) / 1e6);
-  }
-  if (result.converged) {
-    std::printf(" converged after %zu round(s)\n", result.rounds.size());
-  }
-
-  std::printf("\nunique bugs: %llu   runs executed: %llu   false positives: %d\n",
-              static_cast<unsigned long long>(result.UniqueBugCount()),
-              static_cast<unsigned long long>(result.RunsExecuted()),
-              result.false_positives);
-
-  unsigned long long early = 0, aborted = 0, skipped = 0;
-  int disabled = 0;
-  for (const campaign::RoundStats& stats : result.rounds) {
-    early += stats.delays_early_woken;
-    aborted += stats.delays_aborted_stall;
-    skipped += stats.delays_skipped_budget;
-    disabled += stats.runtime_disabled;
-  }
-  if (early + aborted + skipped > 0 || disabled > 0) {
-    std::printf(
-        "delay engine: %llu early-woken, %llu aborted by sentinel, "
-        "%llu skipped by budget, %d run(s) fail-open disabled\n",
-        early, aborted, skipped, disabled);
-  }
-
-  int printed = 0;
-  for (const auto& bug : result.bugs) {
-    if (printed++ == 8) {
-      std::printf("  ... and %zu more\n", result.bugs.size() - 8);
-      break;
+  return tools::ReportCampaign("tsvd_campaign", result, [&chaos] {
+    if (chaos == nullptr) {
+      return;
     }
-    std::printf("  [round %d, %llux] %s  <->  %s\n", bug.first_round,
-                static_cast<unsigned long long>(bug.occurrences),
-                bug.sig_first.c_str(), bug.sig_second.c_str());
-  }
-
-  // Failure forensics: every run that crashed, timed out, or needed a retry.
-  printed = 0;
-  for (const campaign::RunOutcome& outcome : result.outcomes) {
-    if (outcome.status == campaign::RunStatus::kOk && outcome.attempts <= 1) {
-      continue;
-    }
-    if (printed++ == 0) {
-      std::printf("\nrun failures:\n");
-    }
-    std::printf("  [round %d] %s: %s after %d attempt(s)%s%s%s\n", outcome.round,
-                outcome.module.c_str(),
-                outcome.status == campaign::RunStatus::kOk          ? "recovered"
-                : outcome.status == campaign::RunStatus::kTimedOut  ? "timed out"
-                                                                    : "crashed",
-                outcome.attempts, outcome.quarantined ? ", quarantined" : "",
-                outcome.crash_signature.empty() ? "" : " — ",
-                outcome.crash_signature.c_str());
-  }
-
-  if (!result.trap_path.empty()) {
-    std::printf("\nartifacts:\n  %s\n  %s\n  %s\n", result.trap_path.c_str(),
-                result.json_path.c_str(), result.sarif_path.c_str());
-    if (!result.journal_path.empty()) {
-      std::printf("  %s\n", result.journal_path.c_str());
-    }
-  }
-  if (chaos != nullptr) {
     // Per-class injected-fault counts, so a CI job driving a seeded schedule
     // can assert from the output that the schedule actually fired.
     const io::ChaosFsStats stats = chaos->stats();
-    std::printf("\nstorage chaos: %llu op(s)",
-                static_cast<unsigned long long>(stats.ops));
+    std::printf("storage chaos: %llu op(s)", static_cast<unsigned long long>(stats.ops));
     for (const auto& [cls, count] : stats.Classes()) {
-      std::printf(", %s=%llu", cls.c_str(),
-                  static_cast<unsigned long long>(count));
+      std::printf(", %s=%llu", cls.c_str(), static_cast<unsigned long long>(count));
     }
     std::printf("\n");
-  }
-  if (result.journal_degraded) {
-    std::fprintf(stderr,
-                 "tsvd_campaign: journal write failed (I/O error); campaign "
-                 "completed journal-less — reports are stamped \"durability\": "
-                 "\"degraded\" and this run cannot be resumed.\n");
-  }
-  if (result.disk_full) {
-    // The distinct disk-full verdict: consistent partial state on disk, but
-    // automation must know the campaign stopped for storage, not by choice.
-    std::fprintf(stderr,
-                 "tsvd_campaign: output device full (ENOSPC); drained gracefully "
-                 "— journal and partial reports flushed. Free space and rerun "
-                 "with --resume to continue.\n");
-    return 5;
-  }
-  if (result.interrupted) {
-    // A drained campaign is a clean exit (the journal and partial reports are
-    // flushed and consistent), not a failure — so automation that wraps the tool
-    // does not treat a routine preemption as an error.
-    std::fprintf(stderr,
-                 "tsvd_campaign: interrupted by signal %d after a graceful drain; "
-                 "journal and partial reports flushed — rerun with --resume to "
-                 "continue.\n",
-                 g_stop_signal.load(std::memory_order_relaxed));
-  }
-  return 0;
+  });
 }

@@ -2,17 +2,13 @@
 // instrumenter+runtime ("the tool should be push button, requiring little or no
 // configuration", Section 2.1).
 //
-// Runs the corpus sequentially with per-module trap-file carry-over; with --campaign
-// it instead hands the corpus to the campaign orchestrator (parallel workers, round
-// scheduling, merged trap store, JSON/SARIF artifacts — see tsvd_campaign for the
-// full-width campaign CLI).
-#include <atomic>
-#include <csignal>
+// Runs the corpus sequentially with per-module trap-file carry-over. Campaigns —
+// parallel workers, rounds, a merged trap store, JSON/SARIF artifacts — are
+// tsvd_campaign's and tsvd_fleet's.
 #include <cstdio>
 #include <limits>
 #include <string>
 
-#include "src/campaign/campaign.h"
 #include "src/workload/corpus.h"
 #include "src/workload/scaling.h"
 #include "src/workload/stats.h"
@@ -30,84 +26,11 @@ Usage: tsvd_cli [--flag=value ...]
   --runs=N         consecutive runs with trap-file carry-over (default 2)
   --scale=F        time scale vs. paper defaults, (0, 1] (default 0.02 = 2ms delays)
   --seed=N         corpus + detector seed (default 42)
-  --campaign       campaign mode: parallel workers + rounds instead of sequential
-                   runs; --runs becomes the round bound (see also tsvd_campaign)
-  --workers=N      campaign mode only: parallel workers (default 4)
-  --out=DIR        campaign mode only: artifact directory (default none)
-  --resume         campaign mode only: replay DIR/journal.tsvdj and continue an
-                   interrupted campaign (requires --out; see tsvd_campaign --help)
   --help           this text
 
-In campaign mode SIGINT/SIGTERM drain gracefully: in-flight runs finish, the
-journal and partial reports are flushed, and --resume continues later.
+For campaigns (parallel workers, rounds, JSON/SARIF artifacts, --resume) use
+tsvd_campaign or tsvd_fleet.
 )";
-
-// The handler only records the signal; the campaign polls the flag between runs
-// and drains. A second signal gets the default disposition (immediate death).
-std::atomic<int> g_stop_signal{0};
-
-void HandleStopSignal(int signal) {
-  g_stop_signal.store(signal, std::memory_order_relaxed);
-  std::signal(signal, SIG_DFL);
-}
-
-int RunCampaignMode(const std::string& detector, int num_modules, int rounds,
-                    double scale, uint64_t seed, int workers,
-                    const std::string& out_dir, bool resume) {
-  using namespace tsvd;
-
-  campaign::CampaignOptions options;
-  options.detector = detector;
-  options.num_modules = num_modules;
-  options.rounds = rounds;
-  options.scale = scale;
-  options.seed = seed;
-  options.workers = workers;
-  options.out_dir = out_dir;
-  options.resume = resume;
-  options.interrupt = [] {
-    return g_stop_signal.load(std::memory_order_relaxed) != 0;
-  };
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
-
-  std::printf("tsvd_cli --campaign: %s over %d modules, %d worker(s), up to %d round(s)%s\n",
-              detector.c_str(), num_modules, workers, rounds,
-              resume ? ", resuming" : "");
-
-  const campaign::CampaignResult result = campaign::RunCampaign(options);
-  if (!result.error.empty()) {
-    std::fprintf(stderr, "tsvd_cli: %s\n", result.error.c_str());
-    return 2;
-  }
-  if (result.resumed_runs > 0) {
-    std::printf("  resumed: %llu run record(s), %d completed round(s) replayed\n",
-                static_cast<unsigned long long>(result.resumed_runs),
-                result.resumed_rounds);
-  }
-  for (const campaign::RoundStats& stats : result.rounds) {
-    std::printf("  round %d: %llu new bug(s), %llu retrapped, %zu trap pair(s)\n",
-                stats.round, static_cast<unsigned long long>(stats.new_unique_bugs),
-                static_cast<unsigned long long>(stats.retrapped_imported),
-                stats.trap_pairs_after);
-  }
-  std::printf("unique bugs: %llu   runs executed: %llu   false positives: %d%s\n",
-              static_cast<unsigned long long>(result.UniqueBugCount()),
-              static_cast<unsigned long long>(result.RunsExecuted()),
-              result.false_positives, result.converged ? "   (converged)" : "");
-  if (!result.json_path.empty()) {
-    std::printf("artifacts: %s, %s, %s\n", result.trap_path.c_str(),
-                result.json_path.c_str(), result.sarif_path.c_str());
-  }
-  if (result.interrupted) {
-    // Graceful drain is a clean exit: everything completed is journaled.
-    std::fprintf(stderr,
-                 "tsvd_cli: campaign interrupted by signal %d; journal flushed — "
-                 "rerun with --resume to continue.\n",
-                 g_stop_signal.load(std::memory_order_relaxed));
-  }
-  return 0;
-}
 
 }  // namespace
 
@@ -127,28 +50,10 @@ int main(int argc, char** argv) {
   const double scale = flags.GetDouble("scale", 0.02, 1e-6, 1.0);
   const uint64_t seed = static_cast<uint64_t>(
       flags.GetInt("seed", 42, 0, std::numeric_limits<int64_t>::max()));
-  const bool campaign_mode = flags.GetBool("campaign", false);
-  const int workers = static_cast<int>(flags.GetInt("workers", 4, 1, 256));
-  const std::string out_dir = flags.GetString("out", "");
-  const bool resume = flags.GetBool("resume", false);
   flags.RejectUnknown();
   if (!flags.ok()) {
     std::fprintf(stderr, "tsvd_cli: %s\nTry --help.\n", flags.error().c_str());
     return 2;
-  }
-  if (!campaign_mode && (flags.Has("workers") || flags.Has("out") || resume)) {
-    std::fprintf(stderr,
-                 "tsvd_cli: --workers/--out/--resume require --campaign\nTry --help.\n");
-    return 2;
-  }
-  if (resume && out_dir.empty()) {
-    std::fprintf(stderr, "tsvd_cli: --resume requires --out=DIR\nTry --help.\n");
-    return 2;
-  }
-
-  if (campaign_mode) {
-    return RunCampaignMode(detector, num_modules, runs, scale, seed, workers, out_dir,
-                           resume);
   }
 
   CorpusOptions options;

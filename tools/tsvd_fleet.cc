@@ -13,8 +13,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -26,21 +24,10 @@
 #include "src/fleet/agent.h"
 #include "src/fleet/coordinator.h"
 #include "src/sandbox/sandbox.h"
+#include "tools/campaign_cli.h"
 #include "tools/flag_parser.h"
 
 namespace {
-
-std::atomic<int> g_stop_signal{0};
-
-void HandleStopSignal(int signal) {
-  g_stop_signal.store(signal, std::memory_order_relaxed);
-  std::signal(signal, SIG_DFL);
-}
-
-void InstallStopHandlers() {
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
-}
 
 constexpr const char kUsage[] =
     R"(tsvd_fleet: run a distributed TSVD campaign (coordinator + agent processes).
@@ -115,38 +102,6 @@ identical campaign flags and seed; agent deaths mid-round — and, under --chaos
 dropped/duplicated/delayed messages and healed partitions — do not change it.
 )";
 
-tsvd::campaign::CampaignOptions ParseCampaignOptions(tsvd::tools::FlagParser& flags) {
-  tsvd::campaign::CampaignOptions options;
-  options.rounds = static_cast<int>(flags.GetInt("rounds", 3, 1, 1000));
-  options.num_modules = static_cast<int>(flags.GetInt("modules", 40, 1, 100000));
-  options.detector = flags.GetString("detector", "TSVD");
-  options.scale = flags.GetDouble("scale", 0.02, 1e-6, 1.0);
-  options.seed = static_cast<uint64_t>(
-      flags.GetInt("seed", 42, 0, std::numeric_limits<int64_t>::max()));
-  options.max_attempts = static_cast<int>(flags.GetInt("max_attempts", 2, 1, 10));
-  options.stop_when_converged = !flags.GetBool("no-converge", false);
-  options.journal_snapshot_every =
-      static_cast<int>(flags.GetInt("journal_snapshot_every", 64, 0, 1000000));
-  options.sandbox.enabled = flags.GetBool("sandbox", false);
-  options.sandbox.run_timeout_ms =
-      static_cast<int>(flags.GetInt("run_timeout_ms", 30000, 0, 86400000));
-  options.sandbox.backoff_base_ms =
-      static_cast<int>(flags.GetInt("backoff_ms", 50, 0, 60000));
-  options.fault_crash_modules =
-      static_cast<int>(flags.GetInt("fault-crash", 0, 0, 100));
-  options.fault_hang_modules = static_cast<int>(flags.GetInt("fault-hang", 0, 0, 100));
-  options.fault_throw_modules =
-      static_cast<int>(flags.GetInt("fault-throw", 0, 0, 100));
-  options.fault_deadlock_modules =
-      static_cast<int>(flags.GetInt("fault-deadlock", 0, 0, 100));
-  options.delay_us_override = 1000 * flags.GetInt("delay_ms", 0, 0, 3600000);
-  options.stall_grace_us = 1000 * flags.GetInt("stall_grace_ms", -1, -1, 3600000);
-  options.max_overhead_pct = flags.GetDouble("max_overhead_pct", -1.0, -1.0, 100.0);
-  options.max_internal_errors =
-      static_cast<int>(flags.GetInt("max_internal_errors", -1, -1, 1000000));
-  return options;
-}
-
 // Splits "a,b,c" into {"a","b","c"}, skipping empty items.
 std::vector<std::string> SplitCommaList(const std::string& text) {
   std::vector<std::string> items;
@@ -189,9 +144,7 @@ int RunAgentMode(tsvd::tools::FlagParser& flags) {
                  flags.ok() ? "--connect=ADDR is required" : flags.error().c_str());
     return 2;
   }
-  options.interrupt = [] {
-    return g_stop_signal.load(std::memory_order_relaxed) != 0;
-  };
+  options.interrupt = tsvd::tools::StopRequested;
   const tsvd::fleet::AgentResult result = tsvd::fleet::RunAgent(options);
   if (!result.ok) {
     // Distinct, documented exit codes (see kUsage): orchestrators restart an
@@ -321,15 +274,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  InstallStopHandlers();
+  tools::InstallStopHandlers();
   if (flags.GetBool("agent", false)) {
     return RunAgentMode(flags);
   }
 
   fleet::FleetOptions options;
-  options.campaign = ParseCampaignOptions(flags);
-  options.campaign.out_dir = flags.GetString("out", "fleet-out");
-  options.campaign.resume = flags.GetBool("resume", false);
+  options.campaign = tools::ParseCampaignFlags(flags, "fleet-out");
   const int agents = static_cast<int>(flags.GetInt("agents", 4, 0, 256));
   options.lease_timeout_ms =
       static_cast<int>(flags.GetInt("lease_timeout_ms", 30000, 100, 3600000));
@@ -364,9 +315,6 @@ int main(int argc, char** argv) {
   }
   address = ResolveEphemeralTcpPort(address);
   options.address = address;
-  options.campaign.interrupt = [] {
-    return g_stop_signal.load(std::memory_order_relaxed) != 0;
-  };
 
   std::printf(
       "tsvd_fleet: %s, %d modules, %d agent(s), up to %d round(s), scale %.3f, "
@@ -425,92 +373,28 @@ int main(int argc, char** argv) {
   const fleet::FederationStats fed_stats = coordinator.federation_stats();
   coordinator.Shutdown();
 
-  if (!result.error.empty()) {
-    std::fprintf(stderr, "tsvd_fleet: %s\n", result.error.c_str());
-    return 2;
-  }
-  if (result.resumed_runs > 0) {
-    std::printf(" resumed: %llu run record(s) across %d completed round(s)\n",
-                static_cast<unsigned long long>(result.resumed_runs),
-                result.resumed_rounds);
-  }
-
-  std::printf(
-      "\n round  runs  crash  t/out  retry  quar  new-bugs  traps  wall\n");
-  for (const campaign::RoundStats& stats : result.rounds) {
-    std::printf(" %5d %5d %6d %6d %6d %5d %9llu %6zu  %.2fs\n", stats.round,
-                stats.runs, stats.crashed, stats.timed_out, stats.retried,
-                stats.quarantined,
-                static_cast<unsigned long long>(stats.new_unique_bugs),
-                stats.trap_pairs_after, static_cast<double>(stats.wall_us) / 1e6);
-  }
-  if (result.converged) {
-    std::printf(" converged after %zu round(s)\n", result.rounds.size());
-  }
-
   const fleet::FleetStats fstats = coordinator.stats();
-  std::printf(
-      "\nunique bugs: %llu   runs executed: %llu   false positives: %d\n"
-      "fleet: %llu agent join(s), %llu lease(s), %llu stolen, %llu duplicate "
-      "result(s), %llu replayed request(s), %llu eviction(s), %llu hello(s) "
-      "rejected by auth\n",
-      static_cast<unsigned long long>(result.UniqueBugCount()),
-      static_cast<unsigned long long>(result.RunsExecuted()),
-      result.false_positives,
-      static_cast<unsigned long long>(fstats.agents_joined),
-      static_cast<unsigned long long>(fstats.leases_granted),
-      static_cast<unsigned long long>(fstats.leases_stolen),
-      static_cast<unsigned long long>(fstats.duplicate_results),
-      static_cast<unsigned long long>(fstats.duplicate_requests),
-      static_cast<unsigned long long>(fstats.agents_evicted),
-      static_cast<unsigned long long>(fstats.hellos_rejected_auth));
-  if (!options.federation.peers.empty()) {
-    const fleet::FederationStats& fed = fed_stats;
+  return tools::ReportCampaign("tsvd_fleet", result, [&] {
     std::printf(
-        "federation: %zu peer(s), %llu pull(s), %llu push(es), %llu "
-        "failure(s), %llu pair(s) staged\n",
-        options.federation.peers.size(),
-        static_cast<unsigned long long>(fed.pulls),
-        static_cast<unsigned long long>(fed.pushes),
-        static_cast<unsigned long long>(fed.failures),
-        static_cast<unsigned long long>(fed.pairs_staged));
-  }
-
-  int printed = 0;
-  for (const auto& bug : result.bugs) {
-    if (printed++ == 8) {
-      std::printf("  ... and %zu more\n", result.bugs.size() - 8);
-      break;
+        "fleet: %llu agent join(s), %llu lease(s), %llu stolen, %llu duplicate "
+        "result(s), %llu replayed request(s), %llu eviction(s), %llu hello(s) "
+        "rejected by auth\n",
+        static_cast<unsigned long long>(fstats.agents_joined),
+        static_cast<unsigned long long>(fstats.leases_granted),
+        static_cast<unsigned long long>(fstats.leases_stolen),
+        static_cast<unsigned long long>(fstats.duplicate_results),
+        static_cast<unsigned long long>(fstats.duplicate_requests),
+        static_cast<unsigned long long>(fstats.agents_evicted),
+        static_cast<unsigned long long>(fstats.hellos_rejected_auth));
+    if (!options.federation.peers.empty()) {
+      std::printf(
+          "federation: %zu peer(s), %llu pull(s), %llu push(es), %llu "
+          "failure(s), %llu pair(s) staged\n",
+          options.federation.peers.size(),
+          static_cast<unsigned long long>(fed_stats.pulls),
+          static_cast<unsigned long long>(fed_stats.pushes),
+          static_cast<unsigned long long>(fed_stats.failures),
+          static_cast<unsigned long long>(fed_stats.pairs_staged));
     }
-    std::printf("  [round %d, %llux] %s  <->  %s\n", bug.first_round,
-                static_cast<unsigned long long>(bug.occurrences),
-                bug.sig_first.c_str(), bug.sig_second.c_str());
-  }
-
-  if (!result.trap_path.empty()) {
-    std::printf("\nartifacts:\n  %s\n  %s\n  %s\n  %s\n", result.trap_path.c_str(),
-                result.json_path.c_str(), result.sarif_path.c_str(),
-                result.journal_path.c_str());
-  }
-  if (result.journal_degraded) {
-    std::fprintf(stderr,
-                 "tsvd_fleet: journal write failed (I/O error); campaign "
-                 "completed journal-less — reports are stamped \"durability\": "
-                 "\"degraded\" and this run cannot be resumed.\n");
-  }
-  if (result.disk_full) {
-    std::fprintf(stderr,
-                 "tsvd_fleet: output device full (ENOSPC); drained gracefully — "
-                 "journal and partial reports flushed. Free space and rerun with "
-                 "--resume to continue.\n");
-    return 5;
-  }
-  if (result.interrupted) {
-    std::fprintf(stderr,
-                 "tsvd_fleet: interrupted by signal %d after a graceful drain; "
-                 "journal and partial reports flushed — rerun with --resume to "
-                 "continue.\n",
-                 g_stop_signal.load(std::memory_order_relaxed));
-  }
-  return 0;
+  });
 }
