@@ -2,8 +2,9 @@
 // single-process one at the bug ledger. A 4-agent fleet with identical options and
 // seed reports the exact unique-bug set of RunCampaign; SIGKILLing an agent
 // mid-round changes nothing (its lost leases are stolen and re-executed, its
-// possibly-duplicated publishes are dropped by idempotent acceptance); and a
-// coordinator drained mid-campaign resumes from its journal to the same set.
+// possibly-duplicated publishes are dropped by idempotent acceptance); a
+// coordinator drained mid-campaign resumes from its journal to the same set;
+// and either tool resumes the other's journal.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -239,6 +240,63 @@ TEST(FleetE2ETest, DrainedCoordinatorResumesToSingleProcessBugSet) {
   EXPECT_EQ(resumed.result.rounds.size(), baseline.rounds.size());
   EXPECT_EQ(resumed.result.converged, baseline.converged);
   ExpectNoDuplicateRunRecords(resume_options.campaign.out_dir);
+}
+
+// DESIGN.md §13: either tool resumes the other's journal. A RunCampaign
+// drained mid-campaign resumes under a 1-agent fleet, and a drained 1-agent
+// fleet resumes under RunCampaign; both reach the uninterrupted bug set.
+TEST(FleetE2ETest, DrainedRunCampaignResumesUnderAOneAgentFleet) {
+  ScopedTempDir baseline_dir;
+  ScopedTempDir dir;
+  const CampaignResult baseline =
+      campaign::RunCampaign(FastOptions(baseline_dir.path));
+  ASSERT_TRUE(baseline.error.empty()) << baseline.error;
+  ASSERT_FALSE(baseline.bugs.empty());
+
+  CampaignOptions drained_options = FastOptions(dir.path + "/out");
+  std::atomic<int> polls{0};
+  drained_options.interrupt = [&polls] { return polls.fetch_add(1) >= 1; };
+  const CampaignResult drained = campaign::RunCampaign(drained_options);
+  ASSERT_TRUE(drained.error.empty()) << drained.error;
+  EXPECT_TRUE(drained.interrupted);
+
+  FleetOptions resume_options;
+  resume_options.campaign = FastOptions(dir.path + "/out");
+  resume_options.campaign.resume = true;
+  resume_options.address = "uds:" + dir.path + "/fleet.sock";
+  const FleetRun resumed = RunFleet(resume_options, dir.path, 1);
+  ASSERT_TRUE(resumed.result.error.empty()) << resumed.result.error;
+  EXPECT_FALSE(resumed.result.interrupted);
+  EXPECT_EQ(resumed.result.resumed_runs, drained.RunsExecuted());
+  EXPECT_EQ(SignatureSet(resumed.result), SignatureSet(baseline));
+  ExpectNoDuplicateRunRecords(resume_options.campaign.out_dir);
+}
+
+TEST(FleetE2ETest, DrainedOneAgentFleetResumesUnderRunCampaign) {
+  ScopedTempDir baseline_dir;
+  ScopedTempDir dir;
+  const CampaignResult baseline =
+      campaign::RunCampaign(FastOptions(baseline_dir.path));
+  ASSERT_TRUE(baseline.error.empty()) << baseline.error;
+  ASSERT_FALSE(baseline.bugs.empty());
+
+  FleetOptions drained_options;
+  drained_options.campaign = FastOptions(dir.path + "/out");
+  drained_options.address = "uds:" + dir.path + "/fleet.sock";
+  std::atomic<int> polls{0};
+  drained_options.campaign.interrupt = [&polls] { return polls.fetch_add(1) >= 1; };
+  const FleetRun drained = RunFleet(drained_options, dir.path, 1);
+  ASSERT_TRUE(drained.result.error.empty()) << drained.result.error;
+  EXPECT_TRUE(drained.result.interrupted);
+
+  CampaignOptions resume_options = FastOptions(dir.path + "/out");
+  resume_options.resume = true;
+  const CampaignResult resumed = campaign::RunCampaign(resume_options);
+  ASSERT_TRUE(resumed.error.empty()) << resumed.error;
+  EXPECT_FALSE(resumed.interrupted);
+  EXPECT_EQ(resumed.resumed_runs, drained.result.RunsExecuted());
+  EXPECT_EQ(SignatureSet(resumed), SignatureSet(baseline));
+  ExpectNoDuplicateRunRecords(resume_options.out_dir);
 }
 
 }  // namespace
