@@ -54,7 +54,10 @@ struct RoundRun {
 // table (src/fleet/coordinator.h).
 class RoundExecutor {
  public:
+  RoundExecutor() = default;
   virtual ~RoundExecutor() = default;
+  RoundExecutor(const RoundExecutor&) = delete;
+  RoundExecutor& operator=(const RoundExecutor&) = delete;
 
   // Seeds the trap store with the resumed campaign's merged traps and readies
   // the executor. Called once, after the journal opened and before the first

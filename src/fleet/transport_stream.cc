@@ -13,6 +13,7 @@
 #include <cstring>
 #include <list>
 #include <mutex>
+#include <system_error>
 #include <thread>
 
 #include "src/common/clock.h"
@@ -289,7 +290,13 @@ class StreamServer : public TransportServer {
       ReapLocked();
       const ConnectionIt conn = connections_.emplace(connections_.end());
       conn->fd = fd;
-      conn->thread = std::thread([this, conn, fd] { Serve(conn, fd); });
+      try {
+        conn->thread = std::thread([this, conn, fd] { Serve(conn, fd); });
+      } catch (const std::system_error&) {
+        // No thread to serve it (resource exhaustion): refuse this connection.
+        ::close(fd);
+        connections_.erase(conn);
+      }
     }
   }
 
@@ -337,9 +344,9 @@ class StreamServer : public TransportServer {
   RequestHandler handler_;
   int listen_fd_ = -1;
   std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
   std::mutex mu_;
   std::list<Connection> connections_;  // live, plus closed ones not yet reaped
+  std::thread accept_thread_;
 };
 
 class StreamClient : public TransportClient {
