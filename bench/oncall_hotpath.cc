@@ -124,6 +124,14 @@ constexpr HistoryRow kHistory[] = {
      {{84.8, 94.5, 102.3}, {80.1, 242.7, 457.9}, {95.2, 189.8, 460.6}}, {30992, 2.6}},
     {"4 cores (KVM, Xeon 2.1GHz), TSC clock + same-thread near-miss run skip", 4, 3,
      {{89.6, 91.5, 98.7}, {85.0, 230.3, 453.3}, {82.4, 266.0, 511.6}}, {30992, 2.1}},
+    // The next two rows were measured on one (faster) host, their runs alternated:
+    // the first re-measures the previous row's code as the baseline.
+    {"4 cores (KVM, Xeon 2.1GHz, faster host), two per-thread call tables + modulo "
+     "epoch clock",
+     4, 3, {{41.1, 42.7, 45.9}, {41.2, 95.4, 250.1}, {41.1, 133.8, 249.9}}, {30992, 1.0}},
+    {"4 cores (KVM, Xeon 2.1GHz, faster host), one per-thread timeline + used-shard "
+     "phase sweep",
+     4, 3, {{37.0, 37.9, 40.0}, {37.1, 124.0, 241.9}, {37.2, 138.7, 254.6}}, {30288, 0.9}},
 };
 
 long HeapInUse() {

@@ -4,9 +4,6 @@
 // two logically independent fields that share a 64-byte line turn into one
 // physically shared line, and a store by one thread invalidates the copy every
 // other core holds — the classic false-sharing wall that caps thread scaling.
-// CacheAligned<T> wraps a value so adjacent array elements land on distinct
-// lines (PerThread slot arrays are the main customer: dense ThreadIds put
-// neighboring threads' slots right next to each other).
 //
 // The audit convention: any struct placed in an array that multiple threads
 // write carries `alignas(kCacheLineSize)` plus a `static_assert` on its size
@@ -23,15 +20,6 @@
 namespace tsvd {
 
 inline constexpr std::size_t kCacheLineSize = 64;
-
-template <typename T>
-struct alignas(kCacheLineSize) CacheAligned {
-  T value{};
-};
-
-// A whole number of private lines per element, or the wrapper is pointless.
-static_assert(sizeof(CacheAligned<char>) == kCacheLineSize);
-static_assert(alignof(CacheAligned<char>) == kCacheLineSize);
 
 }  // namespace tsvd
 

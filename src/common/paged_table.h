@@ -1,7 +1,7 @@
 // A fixed-capacity table that pays only for the pages it touches.
 //
 // The runtime keeps several dense tables indexed by ThreadId (RNG streams, pair
-// caches, HB timelines, progress stamps, counter cells) or by OpId (injection
+// caches, thread timelines, delay budgets) or by OpId (injection
 // probabilities, coverage cells, sampling hit counts). Their capacities are sized
 // for the largest process the runtime must survive — 4096 threads, 65,536 call
 // sites — while a typical run touches a handful of threads and a few dozen sites.

@@ -1,8 +1,8 @@
 // Per-thread state slots, indexed by dense ThreadId.
 //
-// Detector-local per-thread state (RNG streams, last-access times, HB-inference
-// credits) cannot live in thread_local storage because detectors are created and torn
-// down per test module while pool threads persist. Instead each detector owns a
+// Per-run per-thread state (RNG streams, pair caches, thread timelines) cannot
+// live in thread_local storage because runtimes and detectors are created and torn
+// down per test module while pool threads persist. Instead each of them owns a
 // PerThread<T>: a paged table indexed by ThreadId where each slot is only ever
 // touched by its owning thread, so no locking is needed. Pages of 64 slots are
 // allocated on a thread's first touch, so a run pays for the threads it has, not

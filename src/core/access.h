@@ -7,19 +7,27 @@
 
 namespace tsvd {
 
+struct ThreadTimeline;
+
 // One dynamic execution of a TSVD point: the (thread, object, operation) triple of the
 // paper's OnCall, plus a timestamp, the operation's read/write classification, the
 // executing context (for TSVDHB only), and whether the global execution was in a
 // concurrent phase at the time (computed by the runtime, consumed by core TSVD).
+// `timeline` is the calling thread's slot (thread_timeline.h), filled by the
+// runtime; without one (past the slot capacity, or outside a runtime) HB inference
+// infers nothing. Field order packs the struct into six words: the padded 56-byte
+// layout cost about 5 ns per OnCall (bench/oncall_hotpath no_trap, 1 thread).
 struct Access {
   ThreadId tid = 0;
-  ObjectId obj = 0;
   OpId op = kInvalidOp;
-  OpKind kind = OpKind::kRead;
+  ObjectId obj = 0;
   Micros time = 0;
   CtxId ctx = kInvalidCtx;
+  ThreadTimeline* timeline = nullptr;
+  OpKind kind = OpKind::kRead;
   bool concurrent_phase = false;
 };
+static_assert(sizeof(Access) == 48, "Access must stay six words; see above");
 
 // Two operations violate a thread-safety contract iff at least one is a write
 // (Section 2.2).

@@ -106,6 +106,7 @@ void DelayEngine::Settle(ThreadId tid, Micros reserved_us, Micros slept_us) {
 
 ParkResult DelayEngine::Park(ThreadId tid, OpId op, Micros duration_us,
                              const std::atomic<bool>* caught) {
+  injected_.fetch_add(1, std::memory_order_relaxed);
   ParkResult result;
   result.start_us = NowMicros();
   Ticket ticket;
@@ -196,15 +197,12 @@ size_t DelayEngine::CancelAllParked(WakeReason reason) {
   return CancelAllLocked(reason);
 }
 
-void DelayEngine::NoteProgress(ThreadId tid, Micros now) {
-  if (CacheAligned<std::atomic<Micros>>* seen = last_seen_.Find(tid)) {
-    seen->value.store(now, std::memory_order_relaxed);
-  }
-  // Only maintain the shared watermark while the sentinel could be consuming it;
-  // see the header comment. Park() seeds it when a parkless stretch ends.
-  if (parked_count_.load(std::memory_order_relaxed) != 0) {
-    last_progress_us_.store(now, std::memory_order_relaxed);
-  }
+uint64_t DelayEngine::NotedCalls() const {
+  uint64_t calls = untimed_calls_.load(std::memory_order_relaxed);
+  timelines_.ForEach([&calls](size_t, const ThreadTimeline& slot) {
+    calls += slot.calls.load(std::memory_order_relaxed);
+  });
+  return calls;
 }
 
 void DelayEngine::MaybeStartSentinelLocked() {
@@ -248,8 +246,8 @@ void DelayEngine::SentinelLoop() {
       // Only pages some thread has stamped can hold a recent stamp; the walk
       // never allocates.
       bool active_outside = false;
-      last_seen_.ForEach([&](size_t tid, const CacheAligned<std::atomic<Micros>>& slot) {
-        const Micros seen = slot.value.load(std::memory_order_relaxed);
+      timelines_.ForEach([&](size_t tid, const ThreadTimeline& slot) {
+        const Micros seen = slot.last_call.load(std::memory_order_relaxed);
         if (active_outside || seen == 0 || now - seen > grace) {
           return;  // never instrumented / idle long enough to not count
         }

@@ -39,8 +39,8 @@
 #include "src/common/clock.h"
 #include "src/common/config.h"
 #include "src/common/ids.h"
-#include "src/common/padded.h"
 #include "src/common/per_thread.h"
+#include "src/core/thread_timeline.h"
 
 namespace tsvd {
 
@@ -91,16 +91,25 @@ class DelayEngine {
   // Cancels every active park, oldest first. Returns the number woken.
   size_t CancelAllParked(WakeReason reason);
 
-  // Progress heartbeat: called on every OnCall entry. Lock-free: one relaxed store
-  // to the caller's own cache-line-isolated slot, plus — only while at least one
-  // delay is actually parked — one to the global no-OnCall watermark. The sentinel
-  // is the watermark's only consumer and it only acts while parks are pending, so
-  // in the parkless steady state every thread hammering one shared watermark line
-  // would be pure cross-core invalidation traffic for nothing; the park counter
-  // gating it is read-mostly (written only when parks begin and end). `now` is the
-  // caller's already-taken timestamp — OnCall needs the clock anyway, and reading
-  // it once keeps the second vDSO call off the hot path.
-  void NoteProgress(ThreadId tid, Micros now);
+  // Progress heartbeat: called on every OnCall entry with the call's timestamp.
+  // Enters the caller's timeline slot and returns it (null past the slot capacity)
+  // for the runtime to hand to the detector. Only while a delay is parked does it
+  // also store the global no-OnCall watermark: the sentinel reads it only then, and
+  // every thread writing one shared line on every call would be pure cross-core
+  // traffic. The park counter gating it is written only when parks begin and end.
+  ThreadTimeline* NoteProgress(ThreadId tid, Micros now) {
+    ThreadTimeline* self = timelines_.Find(tid);
+    if (self != nullptr) [[likely]] {
+      self->Enter(now);
+    } else {
+      untimed_calls_.fetch_add(1, std::memory_order_relaxed);
+    }
+    // Park() seeds the watermark when a parkless stretch ends.
+    if (parked_count_.load(std::memory_order_relaxed) != 0) {
+      last_progress_us_.store(now, std::memory_order_relaxed);
+    }
+    return self;
+  }
 
   // Lets the runtime fold its own admission rejections (e.g. the per-request
   // budget, which needs request TLS the engine has no business reading) into the
@@ -110,6 +119,7 @@ class DelayEngine {
   }
 
   // --- counters (stable once the run's tasks are quiescent) ---
+  uint64_t DelaysInjected() const { return injected_.load(std::memory_order_relaxed); }
   uint64_t EarlyWoken() const { return early_woken_.load(std::memory_order_relaxed); }
   uint64_t AbortedStall() const { return aborted_stall_.load(std::memory_order_relaxed); }
   uint64_t SkippedBudget() const {
@@ -123,9 +133,11 @@ class DelayEngine {
   // Total time threads actually spent parked.
   Micros TotalSleptUs() const { return total_slept_us_.load(std::memory_order_relaxed); }
 
-  // Pages of per-thread progress stamps allocated so far: one per 64 thread ids
-  // that have entered OnCall. Nothing else (the sentinel included) allocates them.
-  size_t ProgressPages() const { return last_seen_.AllocatedPages(); }
+  uint64_t NotedCalls() const;  // NoteProgress calls, i.e. OnCall entries
+
+  // Pages of per-thread timelines allocated so far: one per 64 thread ids that
+  // have entered OnCall. Nothing else (the sentinel included) allocates them.
+  size_t ProgressPages() const { return timelines_.AllocatedPages(); }
 
  private:
   struct Ticket {
@@ -165,18 +177,19 @@ class DelayEngine {
 
   // Stall detection state. last_progress_us_ is the no-OnCall watermark, written
   // by callers only while parked_count_ is nonzero (and refreshed at park entry so
-  // it is never stale when the sentinel starts judging). last_seen_ feeds the
-  // "every recently active thread is parked" check; slots are cache-line isolated
-  // because dense ThreadIds put concurrent writers on adjacent elements.
+  // it is never stale when the sentinel starts judging). The timelines' last_call
+  // stamps feed the "every recently active thread is parked" check.
   std::atomic<Micros> last_progress_us_;
   std::atomic<uint32_t> parked_count_{0};
-  PerThread<CacheAligned<std::atomic<Micros>>> last_seen_;
+  ThreadTimelines timelines_;
+  std::atomic<uint64_t> untimed_calls_{0};  // calls of threads without a slot
 
   std::thread sentinel_;
   std::condition_variable sentinel_cv_;
   bool sentinel_started_ = false;
   bool shutdown_ = false;
 
+  std::atomic<uint64_t> injected_{0};  // Park calls
   std::atomic<uint64_t> early_woken_{0};
   std::atomic<uint64_t> aborted_stall_{0};
   std::atomic<uint64_t> delays_skipped_budget_{0};

@@ -1,5 +1,7 @@
 #include "src/core/hb_inference.h"
 
+#include <algorithm>
+
 namespace tsvd {
 
 HbInference::HbInference(const Config& config, TrapSet& trap_set)
@@ -8,12 +10,11 @@ HbInference::HbInference(const Config& config, TrapSet& trap_set)
 }
 
 void HbInference::OnAccess(const Access& access) {
-  // A thread without a state slot has no timeline, so no stall is inferred for it.
-  ThreadState* slot = threads_.Find(access.tid);
-  if (slot == nullptr) {
+  // A thread without a timeline slot has no gap to measure, so no stall is inferred.
+  if (access.timeline == nullptr) {
     return;
   }
-  ThreadState& state = *slot;
+  ThreadTimeline& state = *access.timeline;
 
   // Transitivity window: the next k_hb accesses after an inferred stall also
   // happen-after the delayed location.
@@ -26,12 +27,15 @@ void HbInference::OnAccess(const Access& access) {
   // configuration Fig. 9(d) shows inferring many non-existent relationships.
   const Micros gap_threshold =
       static_cast<Micros>(config_.hb_blocking_threshold * config_.delay_us);
-  if (state.last_access > 0) {
-    const Micros gap = access.time - state.last_access;
-    // A matching delay must have ended inside [last_access, now]; if even the newest
+  // The gap runs from the thread's previous call, or from the end of its own delay
+  // if that came later.
+  const Micros since = std::max(state.prev_call, state.delay_end);
+  if (since > 0) {
+    const Micros gap = access.time - since;
+    // A matching delay must have ended inside [since, now]; if even the newest
     // recorded end predates the gap, no scan can succeed — skip the lock entirely.
     if (gap >= gap_threshold &&
-        latest_delay_end_.load(std::memory_order_acquire) >= state.last_access) {
+        latest_delay_end_.load(std::memory_order_acquire) >= since) {
       // Find the most recently finished delay from another thread that overlaps the
       // gap: it started before the gap ended and ended after the gap began.
       FinishedDelay best;
@@ -41,7 +45,7 @@ void HbInference::OnAccess(const Access& access) {
           if (d.op == kInvalidOp || d.tid == access.tid) {
             continue;
           }
-          if (d.end >= state.last_access && d.end <= access.time && d.end > best.end) {
+          if (d.end >= since && d.end <= access.time && d.end > best.end) {
             best = d;
           }
         }
@@ -54,7 +58,6 @@ void HbInference::OnAccess(const Access& access) {
       }
     }
   }
-  state.last_access = access.time;
 }
 
 void HbInference::OnDelayFinished(const Access& access, const DelayOutcome& outcome) {
@@ -69,10 +72,10 @@ void HbInference::OnDelayFinished(const Access& access, const DelayOutcome& outc
       latest_delay_end_.store(outcome.end_us, std::memory_order_release);
     }
   }
-  // The delaying thread was "busy sleeping": advance its own timeline so its next
-  // access does not read the sleep as a causal stall caused by someone else.
-  if (ThreadState* state = threads_.Find(access.tid)) {
-    state->last_access = outcome.end_us;
+  // The delaying thread was "busy sleeping": its next gap starts at the delay's end,
+  // so the sleep is not read as a causal stall caused by someone else.
+  if (access.timeline != nullptr) {
+    access.timeline->delay_end = outcome.end_us;
   }
 }
 

@@ -7,6 +7,8 @@
 // another thread injected, infer HB(delayed-loc -> current-loc) — attributing to the
 // most recently finished such delay — and, by transitivity, to T's next k_hb accesses.
 // Inferred pairs are pruned from the trap set.
+// T's previous call, own latest delay end and credits live in the runtime's
+// per-thread slot (Access::timeline).
 #ifndef SRC_CORE_HB_INFERENCE_H_
 #define SRC_CORE_HB_INFERENCE_H_
 
@@ -15,10 +17,9 @@
 #include <vector>
 
 #include "src/common/config.h"
-#include "src/common/padded.h"
-#include "src/common/per_thread.h"
 #include "src/core/access.h"
 #include "src/core/detector.h"
+#include "src/core/thread_timeline.h"
 #include "src/core/trap_set.h"
 
 namespace tsvd {
@@ -28,11 +29,12 @@ class HbInference {
   HbInference(const Config& config, TrapSet& trap_set);
 
   // Called on every TSVD point (before near-miss pair addition, so that a freshly
-  // inferred HB edge blocks the pair from (re)entering the trap set).
+  // inferred HB edge blocks the pair from (re)entering the trap set). An access
+  // without a timeline infers nothing.
   void OnAccess(const Access& access);
 
   // Called when a delay injected at `access.op` completes. Records the delay for gap
-  // attribution and marks the delaying thread active through the delay's end so its
+  // attribution and records the delay's end on the delaying thread's timeline so its
   // own sleep is never misread as a causal stall.
   void OnDelayFinished(const Access& access, const DelayOutcome& outcome);
 
@@ -47,18 +49,6 @@ class HbInference {
     Micros start = 0;
     Micros end = 0;
   };
-
-  // Line-aligned: `last_access` is stored on every OnAccess, and dense ThreadIds
-  // would otherwise pack adjacent threads' states onto one line — a per-call
-  // false-sharing write on the no-delay fast path.
-  struct alignas(kCacheLineSize) ThreadState {
-    Micros last_access = 0;
-    OpId credit_src = kInvalidOp;
-    int credit_left = 0;
-  };
-  static_assert(sizeof(ThreadState) == kCacheLineSize &&
-                    alignof(ThreadState) == kCacheLineSize,
-                "HB thread state must own exactly one cache line");
 
   const Config config_;
   TrapSet& trap_set_;
@@ -75,7 +65,6 @@ class HbInference {
   // delta_hb * delay is small relative to inter-access gaps) OnAccess stays lock-free.
   std::atomic<Micros> latest_delay_end_{0};
 
-  PerThread<ThreadState> threads_;
   std::atomic<uint64_t> inferred_edges_{0};
 };
 

@@ -6,13 +6,7 @@
 // clean-up, join-after-fork) can never race, so near misses seen there are not
 // dangerous.
 //
-// Scaling history. The naive O(B)-rescan version put a 64-slot loop on every call.
-// The incremental rewrite (PR 5) got that to O(1) but kept two globally shared
-// mutable words — the ring cursor (`next_`, an RMW by every call) and the shared
-// ring slots themselves — so every OnCall still dirtied cache lines that every
-// other core was reading: per-call cost grew near-linearly with thread count.
-//
-// This version removes every globally shared write from the steady state:
+// No call writes a globally shared line in the steady state:
 //
 //   * Per-shard phase rings. Threads hash (dense ThreadId, identity-folded) onto
 //     64 cache-line-isolated shards; a call appends a packed (tid, epoch) entry to
@@ -32,10 +26,14 @@
 //     answer is still "one thread", the first record by a *different* thread
 //     sweeps inline, so the second thread's very first call flips the answer.
 //
+//   * Bounded sweeps. A sweep reads only the shards whose bit is set in the
+//     snapshot's used-shard mask (set on a shard's first write), not all 64;
+//     never-written shards hold no entry, so every result is unchanged.
+//
 // The shared mutable state is thus: the snapshot + epoch line (written once per
-// sweep period, read-only between sweeps, so it stays resident in every core's
-// cache) and the sweep lock (one CAS per sweep period). Everything else a call
-// touches is shard-private.
+// sweep period and once per shard's first write, read-only otherwise, so it stays
+// resident in every core's cache) and the sweep lock (one CAS per sweep period).
+// Everything else a call touches is shard-private.
 //
 // Invariant: ThreadId 0 is the "slot never filled" sentinel. CurrentThreadId()
 // hands out ids starting at 1 and never reuses 0 (see thread_id.h); RecordAndCheck
@@ -45,6 +43,7 @@
 #define SRC_CORE_PHASE_DETECTOR_H_
 
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -79,6 +78,10 @@ class PhaseDetector {
     const uint64_t packed = Pack(tid, epoch);
     const uint64_t prev = shard.last.load(std::memory_order_relaxed);
     if (prev != packed) {
+      if (prev == 0) {  // the shard's first write: sweeps scan it from now on
+        snapshot_.used.fetch_or(uint64_t{1} << ShardIndex(tid),
+                                std::memory_order_release);
+      }
       // First record of (tid, epoch) in this shard: append to the shard ring.
       // The cursor RMW is shard-private — contended only by threads aliased onto
       // this shard, i.e. never with <= 64 live threads.
@@ -97,12 +100,15 @@ class PhaseDetector {
       }
     }
     // Epoch clock, piggybacked on ordinary calls: every `period_` calls into this
-    // shard, advance the epoch and re-aggregate. The counter is shard-private; a
-    // lost increment under aliasing only stretches the period, never corrupts it.
+    // shard, advance the epoch and re-aggregate. The counter is shard-private and
+    // wraps at period_ (a compare, not a division); a lost increment under
+    // aliasing only stretches the period, never corrupts it.
     const uint32_t calls = shard.calls.load(std::memory_order_relaxed) + 1;
-    shard.calls.store(calls, std::memory_order_relaxed);
-    if (calls % period_ == 0) {
+    if (calls == period_) [[unlikely]] {
+      shard.calls.store(0, std::memory_order_relaxed);
       Sweep(/*advance_epoch=*/true);
+    } else {
+      shard.calls.store(calls, std::memory_order_relaxed);
     }
     return snapshot_.distinct.load(std::memory_order_acquire) > 1;
   }
@@ -157,7 +163,8 @@ class PhaseDetector {
   // Dense ThreadIds start at 1, so the fold is a perfect 1:1 shard assignment for
   // up to kShards live threads — the hardware-conscious placement: each thread's
   // phase line is private to (and stays in the cache of) the core running it.
-  Shard& ShardFor(ThreadId tid) { return shards_[(tid - 1) & (kShards - 1)]; }
+  static uint32_t ShardIndex(ThreadId tid) { return (tid - 1) & (kShards - 1); }
+  Shard& ShardFor(ThreadId tid) { return shards_[ShardIndex(tid)]; }
 
   // Folds per-shard occupancy into the published snapshot. An entry is "recent" if
   // it is stamped with the current or the previous epoch, so a thread stays in the
@@ -166,8 +173,7 @@ class PhaseDetector {
   // losing the race means a concurrent sweep is already folding a fresher view.
   void Sweep(bool advance_epoch) {
     uint32_t expected = 0;
-    if (!sweep_lock_.value.compare_exchange_strong(expected, 1,
-                                             std::memory_order_acq_rel,
+    if (!sweep_lock_.compare_exchange_strong(expected, 1, std::memory_order_acq_rel,
                                              std::memory_order_relaxed)) {
       return;
     }
@@ -179,7 +185,9 @@ class PhaseDetector {
     uint64_t seen[kFoldSlots / 64];
     std::memset(seen, 0, sizeof(seen));
     uint32_t distinct = 0;
-    for (const Shard& shard : shards_) {
+    for (uint64_t used = snapshot_.used.load(std::memory_order_acquire); used != 0;
+         used &= used - 1) {
+      const Shard& shard = shards_[std::countr_zero(used)];
       for (const std::atomic<uint64_t>& entry : shard.ring) {
         const uint64_t packed = entry.load(std::memory_order_relaxed);
         const ThreadId tid = TidOf(packed);
@@ -199,7 +207,7 @@ class PhaseDetector {
       }
     }
     snapshot_.distinct.store(distinct, std::memory_order_release);
-    sweep_lock_.value.store(0, std::memory_order_release);
+    sweep_lock_.store(0, std::memory_order_release);
   }
 
   uint32_t period_;
@@ -209,11 +217,12 @@ class PhaseDetector {
   struct alignas(kCacheLineSize) Snapshot {
     std::atomic<uint32_t> epoch{1};
     std::atomic<uint32_t> distinct{0};
+    std::atomic<uint64_t> used{0};  // bit i: shard i has been written
   };
   static_assert(sizeof(Snapshot) == kCacheLineSize);
   Snapshot snapshot_{};
   // The only cross-shard RMW left, hit once per sweep — not per call.
-  CacheAligned<std::atomic<uint32_t>> sweep_lock_{};
+  alignas(kCacheLineSize) std::atomic<uint32_t> sweep_lock_{0};
 };
 
 }  // namespace tsvd

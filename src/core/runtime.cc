@@ -47,7 +47,6 @@ void Runtime::OnCall(ObjectId obj, OpId op, OpKind kind) noexcept {
 void Runtime::OnCallImpl(ObjectId obj, OpId op, OpKind kind) {
   const ThreadId tid = CurrentThreadId();
   const Micros now = NowMicros();
-  engine_.NoteProgress(tid, now);
 
   Access access;
   access.tid = tid;
@@ -55,10 +54,11 @@ void Runtime::OnCallImpl(ObjectId obj, OpId op, OpKind kind) {
   access.op = op;
   access.kind = kind;
   access.time = now;
+  // The call's one per-thread lookup: stamps progress and counts the call.
+  access.timeline = engine_.NoteProgress(tid, now);
   access.ctx = CurrentCtx();
   access.concurrent_phase = phase_.RecordAndCheck(tid);
 
-  oncall_count_.Add(tid);
   coverage_.Record(op, tid, access.concurrent_phase);
 
   // check_for_trap: catch a conflicting sleeper red-handed.
@@ -93,7 +93,6 @@ void Runtime::OnCallImpl(ObjectId obj, OpId op, OpKind kind) {
   if (armed_beside.found) {
     CatchTrapped(armed_beside, access);
   }
-  delays_injected_.Add(tid);
   if (trap_arm_observer_) {
     trap_arm_observer_(op);
   }
@@ -194,8 +193,8 @@ RunSummary Runtime::Summary() const {
   for (const BugReport& r : s.reports) {
     s.unique_pairs.insert(r.Pair());
   }
-  s.oncall_count = oncall_count_.Total();
-  s.delays_injected = delays_injected_.Total();
+  s.oncall_count = engine_.NotedCalls();
+  s.delays_injected = engine_.DelaysInjected();
   s.total_delay_us = engine_.TotalSleptUs();
   s.sync_events = sync_events_.load(std::memory_order_relaxed);
   s.trap_set_size = detector_->TrapSetSize();

@@ -25,7 +25,6 @@
 #include "src/common/execution_context.h"
 #include "src/common/padded.h"
 #include "src/common/request_context.h"
-#include "src/common/sharded_counter.h"
 #include "src/core/delay_engine.h"
 #include "src/core/detector.h"
 #include "src/core/phase_detector.h"
@@ -168,10 +167,6 @@ class Runtime {
   std::function<void(const BugReport&)> observer_;
   std::function<void(OpId)> trap_arm_observer_;
 
-  // Hot counters are sharded by thread id: OnCall bumps them on every instrumented
-  // call, and a single atomic would bounce one cache line across every core.
-  ShardedCounter oncall_count_;
-  ShardedCounter delays_injected_;
   std::atomic<uint64_t> sync_events_{0};
   std::atomic<uint64_t> internal_errors_{0};
   std::atomic<bool> disabled_{false};

@@ -300,6 +300,34 @@ TEST(DelayEngineRuntimeTest, DisableEarlyWakeSleepsFullLength) {
   EXPECT_EQ(summary.reports.size(), 1u);  // the catch itself still happened
 }
 
+// The sentinel's all-parked check reads the call stamps the runtime writes into
+// each thread's timeline: a thread still calling (on another object, so it cannot
+// spring the trap) keeps the sleeper's delay running to its full length.
+TEST(DelayEngineRuntimeTest, ActiveUnparkedThreadKeepsTheSleeperParked) {
+  Config cfg;
+  cfg.stall_grace_us = 100'000;
+  Runtime runtime(cfg, std::make_unique<TrapOpOneDetector>(300'000));
+
+  std::atomic<bool> stop{false};
+  std::thread sleeper([&] {
+    runtime.OnCall(0x10, 1, OpKind::kWrite);
+    stop.store(true);
+  });
+  std::thread active([&] {
+    while (!stop.load()) {
+      runtime.OnCall(0x20, 2, OpKind::kRead);
+      SleepMicros(5'000);
+    }
+  });
+  sleeper.join();
+  active.join();
+
+  const RunSummary summary = runtime.Summary();
+  EXPECT_EQ(summary.delays_injected, 1u);
+  EXPECT_EQ(summary.delays_aborted_stall, 0u);
+  EXPECT_EQ(summary.delays_early_woken, 0u);
+}
+
 TEST(DelayEngineRuntimeTest, SentinelAbortMarksOutcomeAborted) {
   Config cfg;
   cfg.stall_grace_us = 25'000;

@@ -7,6 +7,7 @@
 #include "src/common/callsite.h"
 #include "src/core/random_detectors.h"
 #include "src/core/tsvd_detector.h"
+#include "tests/core/timeline_access.h"
 
 namespace tsvd {
 namespace {
@@ -121,13 +122,15 @@ TEST(TsvdDetectorTest, TrapFilePreArmsFirstOccurrence) {
 
 TEST(TsvdDetectorTest, HbInferencePreventsArming) {
   TsvdDetector detector(UnitConfig());
+  // HB inference reads each thread's timeline, which the runtime provides.
+  ThreadTimelines timelines;
   // Arm then fail a delay so the delay is on record.
-  detector.OnCall(At(1, 0x10, 1, OpKind::kWrite, 0));
-  detector.OnCall(At(2, 0x10, 2, OpKind::kWrite, 100));
-  detector.OnDelayFinished(At(1, 0x10, 1, OpKind::kWrite, 1000),
+  detector.OnCall(Entered(timelines, At(1, 0x10, 1, OpKind::kWrite, 0)));
+  detector.OnCall(Entered(timelines, At(2, 0x10, 2, OpKind::kWrite, 100)));
+  detector.OnDelayFinished(Entered(timelines, At(1, 0x10, 1, OpKind::kWrite, 1000)),
                            DelayOutcome{1000, 2000, false});
   // Thread 2 stalls across that delay and then touches op 2: edge inferred, pair gone.
-  detector.OnCall(At(2, 0x10, 2, OpKind::kWrite, 2100));
+  detector.OnCall(Entered(timelines, At(2, 0x10, 2, OpKind::kWrite, 2100)));
   EXPECT_EQ(detector.InferredHbEdges(), 1u);
   EXPECT_EQ(detector.TrapSetSize(), 0u);
 }

@@ -8,6 +8,7 @@
 #include "src/core/hb_inference.h"
 #include "src/core/phase_detector.h"
 #include "src/core/tsvd_detector.h"
+#include "tests/core/timeline_access.h"
 
 namespace tsvd {
 namespace {
@@ -29,7 +30,7 @@ TEST(ConfigDefaultsTest, MatchPaperSection54) {
   EXPECT_FALSE(cfg.serialize_delays);
 }
 
-Access At(ThreadId tid, OpId op, Micros t) {
+Access At(ThreadTimelines& timelines, ThreadId tid, OpId op, Micros t) {
   Access a;
   a.tid = tid;
   a.obj = 0x10;
@@ -37,7 +38,7 @@ Access At(ThreadId tid, OpId op, Micros t) {
   a.kind = OpKind::kWrite;
   a.time = t;
   a.concurrent_phase = true;
-  return a;
+  return Entered(timelines, a);
 }
 
 // The finished-delay ring holds 128 entries; ancient delays must stop matching after
@@ -48,17 +49,18 @@ TEST(HbInferenceEdgeTest, DelayRingOverwritesOldEntries) {
   TrapSet traps(cfg);
   traps.AddPair(1, 2);
   HbInference hb(cfg, traps);
+  ThreadTimelines timelines;
 
-  hb.OnAccess(At(2, 2, 900));
+  hb.OnAccess(At(timelines, 2, 2, 900));
   // The interesting delay at op 1...
-  hb.OnDelayFinished(At(1, 1, 1000), DelayOutcome{1000, 2000, false});
+  hb.OnDelayFinished(At(timelines, 1, 1, 1000), DelayOutcome{1000, 2000, false});
   // ...then 200 more delays from thread 3 at op 7, flushing the ring. None of them
   // overlaps thread 2's gap window [900, 2100].
   for (int i = 0; i < 200; ++i) {
     const Micros t = 10'000 + i * 10;
-    hb.OnDelayFinished(At(3, 7, t), DelayOutcome{t, t + 5, false});
+    hb.OnDelayFinished(At(timelines, 3, 7, t), DelayOutcome{t, t + 5, false});
   }
-  hb.OnAccess(At(2, 2, 2100));
+  hb.OnAccess(At(timelines, 2, 2, 2100));
   EXPECT_EQ(hb.InferredEdges(), 0u);  // the op-1 delay record is gone
   EXPECT_EQ(traps.PairCount(), 1u);
 }
@@ -73,9 +75,11 @@ TEST(HbInferenceEdgeTest, ZeroThresholdInfersAggressively) {
   TrapSet traps(cfg);
   traps.AddPair(1, 2);
   HbInference hb(cfg, traps);
-  hb.OnAccess(At(2, 2, 900));
-  hb.OnDelayFinished(At(1, 1, 950), DelayOutcome{950, 1000, false});
-  hb.OnAccess(At(2, 2, 1050));  // tiny gap, but it overlaps the delay: inferred
+  ThreadTimelines timelines;
+  hb.OnAccess(At(timelines, 2, 2, 900));
+  hb.OnDelayFinished(At(timelines, 1, 1, 950), DelayOutcome{950, 1000, false});
+  // Tiny gap, but it overlaps the delay: inferred.
+  hb.OnAccess(At(timelines, 2, 2, 1050));
   EXPECT_EQ(hb.InferredEdges(), 1u);
 }
 

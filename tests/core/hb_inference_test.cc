@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/hb_inference.h"
+#include "tests/core/timeline_access.h"
 
 namespace tsvd {
 namespace {
@@ -15,19 +16,29 @@ Config HbConfig(double threshold = 0.5, int window = 5) {
   return cfg;
 }
 
-Access At(ThreadId tid, OpId op, Micros t) {
-  Access a;
-  a.tid = tid;
-  a.obj = 0x10;
-  a.op = op;
-  a.kind = OpKind::kWrite;
-  a.time = t;
-  return a;
-}
+// Each access enters its thread's timeline at its time, as the runtime's OnCall
+// does; the delaying access passed to OnDelayFinished is the call that armed it.
+class Timelines {
+ protected:
+  Access At(ThreadId tid, OpId op, Micros t) {
+    Access a;
+    a.tid = tid;
+    a.obj = 0x10;
+    a.op = op;
+    a.kind = OpKind::kWrite;
+    a.time = t;
+    return Entered(timelines_, a);
+  }
+
+ private:
+  ThreadTimelines timelines_;
+};
+
+class HbInferenceTest : public ::testing::Test, protected Timelines {};
 
 // Thread 1 delays at op 1 during [1000, 2000]; thread 2, whose previous access was at
 // t=900, accesses op 2 at t=2100 — a 1200us stall overlapping the delay.
-TEST(HbInferenceTest, StallOverlappingDelayInfersEdge) {
+TEST_F(HbInferenceTest, StallOverlappingDelayInfersEdge) {
   const Config cfg = HbConfig();
   TrapSet traps(cfg);
   traps.AddPair(1, 2);
@@ -45,7 +56,7 @@ TEST(HbInferenceTest, StallOverlappingDelayInfersEdge) {
 // A ThreadId past the per-thread slot capacity (4096) has no timeline: its own
 // stalls infer nothing, but the delays it injects still explain other threads'
 // stalls. The id is passed in directly instead of creating thousands of threads.
-TEST(HbInferenceTest, ThreadIdPastSlotCapacityIsSkippedNotOverrun) {
+TEST_F(HbInferenceTest, ThreadIdPastSlotCapacityIsSkippedNotOverrun) {
   constexpr ThreadId kFar = 5000;
   const Config cfg = HbConfig();
   TrapSet traps(cfg);
@@ -66,7 +77,7 @@ TEST(HbInferenceTest, ThreadIdPastSlotCapacityIsSkippedNotOverrun) {
   EXPECT_TRUE(traps.WasHbPruned(4, 2));
 }
 
-TEST(HbInferenceTest, ShortGapDoesNotInfer) {
+TEST_F(HbInferenceTest, ShortGapDoesNotInfer) {
   const Config cfg = HbConfig(0.5);  // threshold 500us
   TrapSet traps(cfg);
   traps.AddPair(1, 2);
@@ -80,7 +91,7 @@ TEST(HbInferenceTest, ShortGapDoesNotInfer) {
   EXPECT_EQ(traps.PairCount(), 1u);
 }
 
-TEST(HbInferenceTest, GapNotOverlappingDelayDoesNotInfer) {
+TEST_F(HbInferenceTest, GapNotOverlappingDelayDoesNotInfer) {
   const Config cfg = HbConfig();
   TrapSet traps(cfg);
   traps.AddPair(1, 2);
@@ -93,7 +104,7 @@ TEST(HbInferenceTest, GapNotOverlappingDelayDoesNotInfer) {
   EXPECT_EQ(hb.InferredEdges(), 0u);
 }
 
-TEST(HbInferenceTest, OwnDelayIsNotACausalStall) {
+TEST_F(HbInferenceTest, OwnDelayIsNotACausalStall) {
   const Config cfg = HbConfig();
   TrapSet traps(cfg);
   traps.AddPair(1, 2);
@@ -108,7 +119,45 @@ TEST(HbInferenceTest, OwnDelayIsNotACausalStall) {
   EXPECT_EQ(traps.PairCount(), 1u);
 }
 
-TEST(HbInferenceTest, TransitivityCreditsPruneFollowingAccesses) {
+// Thread 2 sleeps through its own delay [1000, 2000] while thread 1's delay ends
+// inside it. Thread 2's next gap starts at its own delay's end, so the sleep is
+// not read as a stall caused by thread 1.
+TEST_F(HbInferenceTest, OwnSleepHidesAPeerDelayEndingInsideIt) {
+  const Config cfg = HbConfig();
+  TrapSet traps(cfg);
+  traps.AddPair(1, 2);
+  HbInference hb(cfg, traps);
+
+  const Access armed = At(2, 3, 1000);  // the call that arms thread 2's delay
+  hb.OnAccess(armed);
+  hb.OnDelayFinished(At(1, 1, 1100), DelayOutcome{1100, 1500, false});
+  hb.OnDelayFinished(armed, DelayOutcome{1000, 2000, false});
+  hb.OnAccess(At(2, 2, 2100));  // 100us after its own delay: no stall
+
+  EXPECT_EQ(hb.InferredEdges(), 0u);
+  EXPECT_EQ(traps.PairCount(), 1u);
+}
+
+// An old delay of thread 2 does not stretch a later gap back: the gap starts at
+// its previous call when that came after the delay's end.
+TEST_F(HbInferenceTest, GapStartsAtPreviousCallAfterAnOldOwnDelay) {
+  const Config cfg = HbConfig();
+  TrapSet traps(cfg);
+  traps.AddPair(1, 2);
+  HbInference hb(cfg, traps);
+
+  const Access armed = At(2, 3, 1000);
+  hb.OnAccess(armed);
+  hb.OnDelayFinished(armed, DelayOutcome{1000, 2000, false});
+  hb.OnAccess(At(2, 3, 3000));
+  hb.OnDelayFinished(At(1, 1, 2200), DelayOutcome{2200, 2500, false});
+  hb.OnAccess(At(2, 2, 4200));  // thread 1's delay ended before the gap [3000, 4200]
+
+  EXPECT_EQ(hb.InferredEdges(), 0u);
+  EXPECT_EQ(traps.PairCount(), 1u);
+}
+
+TEST_F(HbInferenceTest, TransitivityCreditsPruneFollowingAccesses) {
   const Config cfg = HbConfig(0.5, /*window=*/2);
   TrapSet traps(cfg);
   traps.AddPair(1, 2);
@@ -131,7 +180,7 @@ TEST(HbInferenceTest, TransitivityCreditsPruneFollowingAccesses) {
   EXPECT_EQ(traps.PairCount(), 1u);
 }
 
-TEST(HbInferenceTest, MostRecentlyFinishedDelayWins) {
+TEST_F(HbInferenceTest, MostRecentlyFinishedDelayWins) {
   const Config cfg = HbConfig();
   TrapSet traps(cfg);
   traps.AddPair(1, 9);
@@ -148,7 +197,7 @@ TEST(HbInferenceTest, MostRecentlyFinishedDelayWins) {
   EXPECT_FALSE(traps.WasHbPruned(1, 9));
 }
 
-class HbThresholds : public ::testing::TestWithParam<double> {};
+class HbThresholds : public ::testing::TestWithParam<double>, protected Timelines {};
 
 TEST_P(HbThresholds, GapMustExceedThresholdTimesDelay) {
   const double threshold = GetParam();

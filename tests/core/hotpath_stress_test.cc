@@ -1,17 +1,18 @@
 // Multi-thread stress tests for the lock-light OnCall hot paths.
 //
 // The fast paths (TrapRegistry's armed-count skip, PhaseDetector's per-shard
-// rings + epoch aggregation, TrapSet's per-thread pair cache, ShardedCounter, the
-// near-miss tracker's lock-free object index) trade locks for relaxed/acq-rel
-// atomics; these tests pin down the guarantees that must survive that trade and
-// are run under ThreadSanitizer by the tsan-delay-engine CI job.
+// rings + epoch aggregation, TrapSet's per-thread pair cache, the thread
+// timelines' call counts, the near-miss tracker's lock-free object index) trade
+// locks for relaxed/acq-rel atomics; these tests pin down the guarantees that
+// must survive that trade and are run under ThreadSanitizer by the
+// tsan-delay-engine CI job.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
-#include "src/common/sharded_counter.h"
+#include "src/core/delay_engine.h"
 #include "src/core/nearmiss_tracker.h"
 #include "src/core/phase_detector.h"
 #include "src/core/trap_registry.h"
@@ -303,40 +304,44 @@ TEST(HotPathStressTest, NearMissIndexGrowthAndRecyclingNeverMixObjects) {
   EXPECT_LT(tracker.TrackedObjects(), static_cast<size_t>(kThreads * kIters / 4));
 }
 
-TEST(HotPathStressTest, ShardedCounterAggregatesAcrossThreads) {
-  ShardedCounter counter;
+TEST(HotPathStressTest, TimelineCallCountAggregatesAcrossThreads) {
+  Config cfg;
+  cfg.stall_grace_us = 0;
+  DelayEngine engine(cfg);
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&counter, t] {
+    threads.emplace_back([&engine, t] {
       for (int i = 0; i < 10'000; ++i) {
-        counter.Add(static_cast<ThreadId>(t + 1));
+        engine.NoteProgress(static_cast<ThreadId>(t + 1), i + 1);
       }
     });
   }
   for (auto& thread : threads) {
     thread.join();
   }
-  EXPECT_EQ(counter.Total(), 80'000u);
+  EXPECT_EQ(engine.NotedCalls(), 80'000u);
 }
 
-TEST(HotPathStressTest, ShardedCounterTotalIsExactWithOverflowCellInUse) {
-  ShardedCounter counter;
+TEST(HotPathStressTest, TimelineCallCountIsExactWithUntimedThreadsInUse) {
+  Config cfg;
+  cfg.stall_grace_us = 0;
+  DelayEngine engine(cfg);
   std::vector<std::thread> threads;
-  // Half the threads count under ids past the cell capacity, so they all share
-  // the RMW overflow cell while the others write their own cells.
+  // Half the threads call under ids past the timeline capacity, so they all share
+  // the untimed RMW counter while the others count in their own slots.
   for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&counter, t] {
+    threads.emplace_back([&engine, t] {
       const ThreadId tid = t % 2 == 0 ? static_cast<ThreadId>(t + 1)
                                       : static_cast<ThreadId>(5000 + t);
       for (int i = 0; i < 10'000; ++i) {
-        counter.Add(tid, 3);
+        EXPECT_EQ(engine.NoteProgress(tid, i + 1) == nullptr, tid >= 5000);
       }
     });
   }
   for (auto& thread : threads) {
     thread.join();
   }
-  EXPECT_EQ(counter.Total(), 240'000u);
+  EXPECT_EQ(engine.NotedCalls(), 80'000u);
 }
 
 }  // namespace

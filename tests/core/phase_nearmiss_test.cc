@@ -45,6 +45,54 @@ TEST(PhaseDetectorTest, OldThreadEntriesAgeOut) {
   EXPECT_EQ(phase.DistinctThreads(), 1u);
 }
 
+// A sweep reads only the shards some thread has written. A thread whose shard lies
+// above every shard used so far, after many calls by a low id, must still be
+// counted: by the eager sweep of its first call and by every later sweep.
+TEST(PhaseDetectorTest, ThreadOnAShardAboveAllUsedOnesIsCounted) {
+  PhaseDetector phase(4);
+  for (int i = 0; i < 1000; ++i) {  // ~15 periodic sweeps over shard 0 alone
+    EXPECT_FALSE(phase.RecordAndCheck(1));
+  }
+  EXPECT_EQ(phase.DistinctThreads(), 1u);
+  EXPECT_TRUE(phase.RecordAndCheck(40));  // shard 39
+  phase.RecordAndCheck(1);
+  phase.SweepNow();
+  EXPECT_EQ(phase.DistinctThreads(), 2u);
+  phase.RecordAndCheck(40);
+  phase.RecordAndCheck(1);
+  phase.SweepNow();
+  EXPECT_EQ(phase.DistinctThreads(), 2u);
+}
+
+// Ids 64 apart fold onto one shard; its ring keeps both visible to the sweep.
+TEST(PhaseDetectorTest, IdsSixtyFourApartShareAShardAndBothCount) {
+  PhaseDetector phase(16);
+  EXPECT_FALSE(phase.RecordAndCheck(3));
+  EXPECT_TRUE(phase.RecordAndCheck(3 + 64));
+  phase.SweepNow();
+  EXPECT_EQ(phase.DistinctThreads(), 2u);
+  phase.RecordAndCheck(3);
+  phase.RecordAndCheck(3 + 64);
+  phase.SweepNow();
+  EXPECT_EQ(phase.DistinctThreads(), 2u);
+}
+
+// The epoch clock advances after exactly SweepPeriod() calls into a shard: a
+// thread that stopped ages out on the second periodic sweep, not a call earlier.
+TEST(PhaseDetectorTest, PeriodicSweepRunsEverySweepPeriodCallsOfAShard) {
+  PhaseDetector phase(5);  // period 80, not a power of two
+  const uint32_t period = phase.SweepPeriod();
+  phase.RecordAndCheck(1);
+  EXPECT_TRUE(phase.RecordAndCheck(2));  // shard 1 has counted one call
+  for (uint32_t i = 1; i < 2 * period - 1; ++i) {
+    phase.RecordAndCheck(2);
+  }
+  // One periodic sweep so far: thread 1's entry is one epoch old, still recent.
+  EXPECT_EQ(phase.DistinctThreads(), 2u);
+  EXPECT_FALSE(phase.RecordAndCheck(2));  // call 2 * period: the second sweep
+  EXPECT_EQ(phase.DistinctThreads(), 1u);
+}
+
 // Satellite determinism check: with stable phases (every thread keeps recording),
 // epoch-sampled aggregation converges to the *exact* distinct-thread count, for
 // every shard occupancy up to one-thread-per-shard (64).

@@ -95,18 +95,22 @@ inline int ReportCampaign(const char* tool, const campaign::CampaignResult& resu
         result.salvaged_checkpoints > 0 ? ", stale checkpoints salvaged" : "");
   }
 
+  // `skipped` counts delays the budgets refused (delays_skipped_budget), per round
+  // so that a round that ran short on delays can be told from one that found less.
   std::printf(
       "\n round  runs  crash  t/out  signal  retry  quar  new-bugs  retrapped  "
-      "traps  wall\n");
+      "traps  skipped  wall\n");
   unsigned long long early = 0, aborted = 0, skipped = 0;
   int disabled = 0;
   for (const campaign::RoundStats& stats : result.rounds) {
-    std::printf(" %5d %5d %6d %6d %7d %6d %5d %9llu %10llu %6zu  %.2fs\n",
+    std::printf(" %5d %5d %6d %6d %7d %6d %5d %9llu %10llu %6zu %8llu  %.2fs\n",
                 stats.round, stats.runs, stats.crashed, stats.timed_out,
                 stats.killed_by_signal, stats.retried, stats.quarantined,
                 static_cast<unsigned long long>(stats.new_unique_bugs),
                 static_cast<unsigned long long>(stats.retrapped_imported),
-                stats.trap_pairs_after, static_cast<double>(stats.wall_us) / 1e6);
+                stats.trap_pairs_after,
+                static_cast<unsigned long long>(stats.delays_skipped_budget),
+                static_cast<double>(stats.wall_us) / 1e6);
     early += stats.delays_early_woken;
     aborted += stats.delays_aborted_stall;
     skipped += stats.delays_skipped_budget;
