@@ -37,6 +37,18 @@ AgentResult Fail(AgentStatus status, std::string why) {
   return r;
 }
 
+// A request of `type` from this agent. Every request carries the shared secret
+// when the fleet runs with one: the coordinator checks it before any handler.
+Json NewRequest(const std::string& type, const AgentOptions& agent_options) {
+  Json request = Json::MakeObject();
+  request.Set("type", type);
+  request.Set("agent", agent_options.name);
+  if (!agent_options.auth_token.empty()) {
+    request.Set("auth_token", agent_options.auth_token);
+  }
+  return request;
+}
+
 // Re-sends one logical request — same document, same nonce — under exponential
 // backoff with jitter until the exchange succeeds, the budget expires, or the
 // interrupt fires. The constant nonce is what makes the retry safe: if the
@@ -76,11 +88,11 @@ bool CallWithRetry(TransportClient* client, const Json& request, Json* response,
 // "evicted" verdict is latched for the main loop.
 class HeartbeatThread {
  public:
-  HeartbeatThread(std::unique_ptr<TransportClient> client, std::string agent,
-                  int interval_ms)
+  HeartbeatThread(std::unique_ptr<TransportClient> client,
+                  const AgentOptions& agent_options)
       : client_(std::move(client)),
-        agent_(std::move(agent)),
-        interval_ms_(interval_ms),
+        beat_(NewRequest("heartbeat", agent_options)),
+        interval_ms_(agent_options.heartbeat_ms),
         thread_([this] { Loop(); }) {}
 
   ~HeartbeatThread() { Stop(); }
@@ -96,13 +108,10 @@ class HeartbeatThread {
 
  private:
   void Loop() {
-    Json beat = Json::MakeObject();
-    beat.Set("type", "heartbeat");
-    beat.Set("agent", agent_);
     while (!stop_.load(std::memory_order_relaxed)) {
       Json resp;
       std::string error;
-      if (client_->Call(beat, &resp, &error)) {
+      if (client_->Call(beat_, &resp, &error)) {
         const Json* type = resp.Find("type");
         const std::string kind =
             type != nullptr && type->is_string() ? type->as_string() : "";
@@ -123,7 +132,7 @@ class HeartbeatThread {
   }
 
   const std::unique_ptr<TransportClient> client_;
-  const std::string agent_;
+  const Json beat_;
   const int interval_ms_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> evicted_{false};
@@ -156,14 +165,9 @@ AgentResult RunAgent(const AgentOptions& agent_options) {
   // Join the fleet. The transport retries connection establishment internally
   // up to hello_timeout_ms, and the chaos decorator may eat the exchange, so
   // retry the hello itself inside the same window (hello is idempotent).
-  Json hello = Json::MakeObject();
-  hello.Set("type", "hello");
-  hello.Set("agent", agent_options.name);
+  Json hello = NewRequest("hello", agent_options);
   hello.Set("protocol_version", kFleetProtocolVersion);
   hello.Set("codec_version", sandbox::kRunOutcomeCodecVersion);
-  if (!agent_options.auth_token.empty()) {
-    hello.Set("auth_token", agent_options.auth_token);
-  }
   Json setup;
   if (!CallWithRetry(client.get(), hello, &setup, agent_options.hello_timeout_ms,
                      agent_options.interrupt, &jitter_rng, &result.rpc_retries,
@@ -240,8 +244,8 @@ AgentResult RunAgent(const AgentOptions& agent_options) {
       journal.Close();
       return Fail(AgentStatus::kError, "heartbeat transport: " + error);
     }
-    heartbeat = std::make_unique<HeartbeatThread>(
-        std::move(hb_client), agent_options.name, agent_options.heartbeat_ms);
+    heartbeat =
+        std::make_unique<HeartbeatThread>(std::move(hb_client), agent_options);
   }
 
   tasks::ThreadPool pool(options.pool_threads_per_worker);
@@ -277,9 +281,7 @@ AgentResult RunAgent(const AgentOptions& agent_options) {
       return finish(AgentStatus::kEvicted,
                     "evicted by coordinator for missed heartbeats");
     }
-    Json lease_req = Json::MakeObject();
-    lease_req.Set("type", "lease");
-    lease_req.Set("agent", agent_options.name);
+    Json lease_req = NewRequest("lease", agent_options);
     lease_req.Set("nonce", ++nonce);
     lease_req.Set("trap_version", cached_version);
     Json resp;
@@ -354,9 +356,7 @@ AgentResult RunAgent(const AgentOptions& agent_options) {
     }
     journal.AppendRun(outcome);
 
-    Json publish = Json::MakeObject();
-    publish.Set("type", "result");
-    publish.Set("agent", agent_options.name);
+    Json publish = NewRequest("result", agent_options);
     publish.Set("nonce", ++nonce);
     publish.Set("lease", lease_id->as_int());
     publish.Set("outcome", sandbox::EncodeRunOutcome(outcome));

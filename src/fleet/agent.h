@@ -57,8 +57,8 @@ struct AgentOptions {
   // empty = faultless. `chaos_salt` decorrelates agents sharing one spec.
   std::string chaos;
   uint64_t chaos_salt = 0;
-  // Shared secret presented in the hello when non-empty; must match the
-  // coordinator's --auth_token or the join is refused.
+  // Shared secret presented on every request when non-empty; must match the
+  // coordinator's --auth_token or each request is refused.
   std::string auth_token;
   // Graceful stop: polled between runs; the first true finishes the current job,
   // publishes it, and exits cleanly.

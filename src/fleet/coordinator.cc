@@ -20,10 +20,6 @@ FleetCoordinator::FleetCoordinator(FleetOptions options)
 FleetCoordinator::~FleetCoordinator() { Shutdown(); }
 
 void FleetCoordinator::Shutdown() {
-  if (federator_ != nullptr) {
-    federator_->Stop();
-    federator_.reset();
-  }
   if (server_ != nullptr) {
     server_->Stop();
     server_.reset();
@@ -33,10 +29,6 @@ void FleetCoordinator::Shutdown() {
 FleetStats FleetCoordinator::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-FederationStats FleetCoordinator::federation_stats() const {
-  return federator_ != nullptr ? federator_->stats() : FederationStats();
 }
 
 namespace {
@@ -55,7 +47,33 @@ uint64_t RequestNonce(const Json& request) {
 
 }  // namespace
 
+bool FleetCoordinator::Authenticated(const Json& request) {
+  if (options_.auth_token.empty()) {
+    return true;
+  }
+  const Json* token = request.Find("auth_token");
+  const std::string presented =
+      token != nullptr && token->is_string() ? token->as_string() : "";
+  if (ConstantTimeEquals(presented, options_.auth_token)) {
+    return true;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.requests_rejected_auth;
+  return false;
+}
+
 Json FleetCoordinator::Handle(const Json& request) {
+  // Authentication comes before everything else — an unauthenticated caller
+  // learns nothing about the fleet, not even which protocol version it speaks,
+  // and cannot lease, publish, or touch the nonce cache.
+  if (!Authenticated(request)) {
+    Json resp = Json::MakeObject();
+    resp.Set("type", "error");
+    resp.Set("error",
+             "fleet request rejected: missing or invalid auth token "
+             "(coordinator runs with --auth_token)");
+    return resp;
+  }
   const Json* type = request.Find("type");
   const std::string kind =
       type != nullptr && type->is_string() ? type->as_string() : "";
@@ -93,9 +111,6 @@ Json FleetCoordinator::Handle(const Json& request) {
     return resp;
   }
   Json resp = Json::MakeObject();
-  if (HandleStoreRequest(&store_, request, &resp)) {
-    return resp;  // federation peers are not agents: no liveness bookkeeping
-  }
   resp.Set("type", "error");
   resp.Set("error", "unknown request type \"" + kind + "\"");
   return resp;
@@ -124,24 +139,6 @@ Json FleetCoordinator::HandleHeartbeat(const Json& request) {
 
 Json FleetCoordinator::HandleHello(const Json& request) {
   Json resp = Json::MakeObject();
-  // Authentication comes before everything else — an unauthenticated caller
-  // learns nothing about the fleet, not even which protocol version it speaks.
-  if (!options_.auth_token.empty()) {
-    const Json* token = request.Find("auth_token");
-    const std::string presented =
-        token != nullptr && token->is_string() ? token->as_string() : "";
-    if (!ConstantTimeEquals(presented, options_.auth_token)) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.hellos_rejected_auth;
-      }
-      resp.Set("type", "error");
-      resp.Set("error",
-               "fleet join rejected: missing or invalid auth token "
-               "(coordinator runs with --auth_token)");
-      return resp;
-    }
-  }
   const Json* protocol = request.Find("protocol_version");
   if (protocol == nullptr || !protocol->is_number() ||
       protocol->as_int() != kFleetProtocolVersion) {
@@ -389,16 +386,6 @@ bool FleetCoordinator::Restore(TrapFile traps, std::string* error) {
     server_.reset();
     *error = "transport: " + transport_error;
     return false;
-  }
-  if (!options_.federation.peers.empty()) {
-    federator_ = std::make_unique<StoreFederator>(&store_, options_.federation);
-    std::string federation_error;
-    if (!federator_->Start(&federation_error)) {
-      federator_.reset();
-      Shutdown();
-      *error = "federation: " + federation_error;
-      return false;
-    }
   }
   return true;
 }

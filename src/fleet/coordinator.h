@@ -16,8 +16,7 @@
 // Over a lossy network (DESIGN.md §14) the same contract holds: replayed
 // lease/result requests are answered from a per-agent nonce cache instead of
 // re-executed, agents silent past heartbeat_timeout_ms are evicted (their
-// leases become instantly stealable, their exchanges answer "evicted"), and
-// peer coordinators federate trap stores through the round-boundary commit.
+// leases become instantly stealable, their exchanges answer "evicted").
 #ifndef SRC_FLEET_COORDINATOR_H_
 #define SRC_FLEET_COORDINATOR_H_
 
@@ -33,7 +32,6 @@
 #include "src/campaign/campaign.h"
 #include "src/campaign/driver.h"
 #include "src/campaign/json.h"
-#include "src/fleet/federation.h"
 #include "src/fleet/transport.h"
 #include "src/fleet/trap_store.h"
 
@@ -46,7 +44,7 @@ struct FleetOptions {
   // `journal_snapshot_every`, and `interrupt` keep their single-process meaning,
   // applied at the coordinator.
   campaign::CampaignOptions campaign;
-  std::string address;  // transport endpoint ("uds:" | "dir:" | "tcp:")
+  std::string address;  // transport endpoint ("uds:" | "tcp:")
   // A leased job not published within this window is considered lost (agent
   // SIGKILLed, wedged, or partitioned) and becomes stealable by any agent.
   int lease_timeout_ms = 30'000;
@@ -62,13 +60,12 @@ struct FleetOptions {
   // open, so an evicted-but-actually-partitioned agent that publishes first
   // still wins (first-publish-wins is preserved). <= 0 disables.
   int heartbeat_timeout_ms = 0;
-  // Trap-store federation with peer coordinators; empty peers = disabled.
-  FederationOptions federation;
-  // Shared-secret join check: when non-empty, a hello must carry an
+  // Shared-secret check: when non-empty, every request must carry an
   // "auth_token" field that matches (compared in constant time) or it is
-  // answered with a framed {type:"error"} and counted in
-  // stats.hellos_rejected_auth. Defends a tcp: listener on a shared network
-  // against stray or misdirected agents; it is not transport encryption.
+  // answered with a framed {type:"error"}, counted in
+  // stats.requests_rejected_auth, and never reaches a handler or the nonce
+  // cache. Defends a tcp: listener on a shared network against stray or
+  // misdirected agents; it is not transport encryption.
   std::string auth_token;
 };
 
@@ -79,7 +76,7 @@ struct FleetStats {
   uint64_t duplicate_results = 0;  // publishes discarded by idempotent acceptance
   uint64_t duplicate_requests = 0;  // replays answered from the nonce cache
   uint64_t agents_evicted = 0;      // liveness evictions (re-joins may re-count)
-  uint64_t hellos_rejected_auth = 0;  // joins refused by the auth_token check
+  uint64_t requests_rejected_auth = 0;  // requests refused by the auth_token check
 };
 
 class FleetCoordinator : private campaign::RoundExecutor {
@@ -95,12 +92,10 @@ class FleetCoordinator : private campaign::RoundExecutor {
   // processes before calling Shutdown.
   campaign::CampaignResult Run();
 
-  // Stops the transport and the federation thread. Called automatically by the
-  // destructor.
+  // Stops the transport. Called automatically by the destructor.
   void Shutdown();
 
   FleetStats stats() const;
-  FederationStats federation_stats() const;
 
  private:
   enum class JobPhase { kPending, kLeased, kDone };
@@ -128,14 +123,16 @@ class FleetCoordinator : private campaign::RoundExecutor {
   };
 
   campaign::Json Handle(const campaign::Json& request);
+  // True when no token is configured or `request` carries the matching one;
+  // otherwise counts the refusal.
+  bool Authenticated(const campaign::Json& request);
   campaign::Json HandleHello(const campaign::Json& request);
   campaign::Json HandleLease(const campaign::Json& request);
   campaign::Json HandleResult(const campaign::Json& request);
   campaign::Json HandleHeartbeat(const campaign::Json& request);
 
   // The driver's seam (src/campaign/driver.h). Restore also starts the
-  // transport and the federation, so nothing is served before the resumed
-  // store is in place.
+  // transport, so nothing is served before the resumed store is in place.
   bool Restore(TrapFile traps, std::string* error) override;
   TrapFile Snapshot() const override { return store_.Snapshot(); }
   size_t CommitRound(const TrapFile& round_traps) override {
@@ -155,7 +152,6 @@ class FleetCoordinator : private campaign::RoundExecutor {
   const FleetOptions options_;
 
   std::unique_ptr<TransportServer> server_;
-  std::unique_ptr<StoreFederator> federator_;
   TrapStoreService store_;
 
   mutable std::mutex mu_;

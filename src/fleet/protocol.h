@@ -4,10 +4,9 @@
 //
 // Exchanges (all initiated by the agent):
 //
-//   hello   {type:"hello", agent, protocol_version, codec_version[, auth_token]}
+//   hello   {type:"hello", agent, protocol_version, codec_version}
 //        -> {type:"setup", options:{...}, corpus_size}          // join the fleet
 //        -> {type:"error", error}                               // version mismatch
-//                                                               // or bad token
 //
 //   lease   {type:"lease", agent, nonce, trap_version}
 //        -> {type:"job", lease, round, module_index,
@@ -25,11 +24,9 @@
 //        -> {type:"evicted"}                                    // missed too many
 //        -> {type:"done", interrupted}                          // campaign over
 //
-//   store_pull {type:"store_pull", have_version}                // federation peer
-//        -> {type:"store", version[, traps]}                    // traps only when
-//                                                               // the peer is stale
-//   store_push {type:"store_push", traps}
-//        -> {type:"ack", accepted, version}                     // accepted = grew
+// Authentication: when the coordinator runs with --auth_token, every request
+// carries a matching `auth_token` field, checked before any handler runs; a
+// request without it is answered {type:"error", error} and has no effect.
 //
 // Exactly-once over a lossy network: the `nonce` on lease/result requests is a
 // per-agent monotonically increasing counter, held constant across re-sends of
@@ -37,14 +34,13 @@
 // per agent; a replay with the cached nonce returns the cached response without
 // re-executing the handler, so a duplicated or retried request cannot grant two
 // leases or double-publish a result even when the original response was lost in
-// flight. Hello, heartbeat, and the store exchanges are naturally idempotent
-// (set-union / last-write semantics) and carry no nonce.
+// flight. Hello and heartbeat are naturally idempotent and carry no nonce.
 //
 // Versioning: the hello handshake checks both the protocol version and the
 // RunOutcome codec version (src/sandbox/outcome_codec.h), so mixed-build fleets
 // fail at join time with a clear error instead of mid-campaign. Version 2 added
-// nonces, heartbeats, and the store federation exchanges; the check is an exact
-// match, so v1 and v2 processes refuse to form a fleet.
+// nonces and heartbeats; the check is an exact match, so v1 and v2 processes
+// refuse to form a fleet.
 #ifndef SRC_FLEET_PROTOCOL_H_
 #define SRC_FLEET_PROTOCOL_H_
 
@@ -69,8 +65,8 @@ campaign::Json EncodeCampaignOptions(const campaign::CampaignOptions& options);
 bool DecodeCampaignOptions(const campaign::Json& doc,
                            campaign::CampaignOptions* options, std::string* error);
 
-// Length-leaking but content-constant-time string comparison, for the hello
-// shared-secret check: the comparison inspects every byte of both strings
+// Length-leaking but content-constant-time string comparison, for the
+// per-request shared-secret check: the comparison inspects every byte of both strings
 // regardless of where they first differ, so response timing cannot be used to
 // guess a token byte-by-byte. (Leaking the length is acceptable — tokens are
 // operator-chosen secrets, not padded cryptographic material.)

@@ -1,31 +1,38 @@
-// Fleet transport abstraction (DESIGN.md §13).
+// Fleet transport (DESIGN.md §13): the coordinator/agent protocol is pure
+// request/response over JSON documents, so the wire sits behind two small
+// interfaces and an address scheme. One stream server and one stream client
+// carry length-prefixed frames (wire.h) for two address families:
 //
-// The coordinator/agent protocol is pure request/response over JSON documents, so
-// the wire is abstracted behind two tiny interfaces and an address scheme.
-// Three backends ship today:
+//   "uds:<path>"                     Unix-domain stream socket (same machine);
+//                                    what tsvd_fleet defaults to.
+//   "tcp:<host>:<port>[?backlog=N]"  TCP stream socket, the backend that leaves
+//                                    the machine.
 //
-//   "uds:<path>"  Unix-domain stream socket: the low-latency backend, what
-//                 tsvd_fleet defaults to.
+// Only address resolution and bind/connect differ by family. Server: a uds
+// server unlinks a stale socket file before binding; a tcp server resolves
+// <host> (IPv4/IPv6/hostname; empty host binds the wildcard address) and binds
+// with SO_REUSEADDR (coordinator restarts must not wait out TIME_WAIT). Both
+// listen with the accept backlog (default 128), serve one thread per accepted
+// connection, and reap each connection's thread and fd when it closes, so
+// reconnect churn cannot grow a long-lived coordinator.
 //
-//   "dir:<path>"  File-based queue: requests are files atomically renamed into
-//                 <path>/req/, responses into <path>/resp/, matched by file name.
-//                 Survives on filesystems where sockets are unavailable (some
-//                 containers, network mounts) and leaves an inspectable on-disk
-//                 trace; higher latency (exponential-backoff polling).
+// Client: connects lazily with retry until the connect deadline (agents often
+// start before the coordinator listens; a refused or unreachable endpoint is
+// retried, not fatal), sets TCP_NODELAY on tcp (the protocol is small
+// request/response exchanges — Nagle would serialize them against delayed
+// ACKs), and fails a Call on any mid-exchange error so the caller's retry
+// policy owns re-sending (agents re-send idempotently under nonces; see
+// protocol.h).
 //
-//   "tcp:<host>:<port>[?backlog=N]"
-//                 TCP stream socket — the backend that leaves the machine.
+// Framing is length-prefixed, not newline-delimited: a real network can
+// truncate a message mid-byte, and a length prefix turns any truncation into a
+// detectable short read instead of a silently concatenated document. A torn
+// frame, a declared length past the 64 MiB guard, or any socket error costs
+// that one connection; an unparseable payload is answered with a framed
+// {"type":"error"}. Every transport error names the endpoint and carries the
+// errno cause.
 //
-// uds: and tcp: are one stream server and client over length-prefixed frames
-// (transport_stream.h, wire.h); only bind/connect differ by address family.
-//
-// Clients retry connection establishment — agents may start before the coordinator
-// listens — but a Call on an established exchange fails rather than retries, so a
-// lost coordinator surfaces as an error the caller's retry policy can act on
-// (agents re-send idempotently under nonces; see protocol.h). Every transport
-// error string names the failing endpoint and carries the errno cause.
-//
-// For deterministic network-fault injection around any client backend, see
+// For deterministic network-fault injection around any client, see
 // chaos_transport.h.
 #ifndef SRC_FLEET_TRANSPORT_H_
 #define SRC_FLEET_TRANSPORT_H_
@@ -68,8 +75,9 @@ class TransportClient {
   virtual void set_connect_timeout_ms(int ms) = 0;
 };
 
-// Factories keyed by the address scheme ("uds:" | "dir:" | "tcp:"). Return null
-// with `error` set for an unknown scheme or an unusable address.
+// Factories keyed by the address scheme ("uds:" | "tcp:"). Return null with
+// `error` set for an unknown scheme or a malformed address; resolution, bind and
+// connect errors surface from Start() / Call().
 std::unique_ptr<TransportServer> MakeTransportServer(const std::string& address,
                                                      std::string* error);
 std::unique_ptr<TransportClient> MakeTransportClient(const std::string& address,

@@ -1,4 +1,4 @@
-#include "src/fleet/transport_stream.h"
+#include "src/fleet/transport.h"
 
 #include <netdb.h>
 #include <netinet/in.h>
@@ -88,7 +88,11 @@ bool ParseStreamAddress(const std::string& address, StreamAddress* out,
     out->path = address.substr(4);
     return true;
   }
-  return ParseTcpAddress(address.substr(4), out, error);
+  if (address.rfind("tcp:", 0) == 0) {
+    return ParseTcpAddress(address.substr(4), out, error);
+  }
+  *error = "unknown transport scheme in \"" + address + "\" (want uds: or tcp:)";
+  return false;
 }
 
 std::string Errno(const std::string& what) {
@@ -408,8 +412,8 @@ class StreamClient : public TransportClient {
 
 }  // namespace
 
-std::unique_ptr<TransportServer> MakeStreamTransportServer(const std::string& address,
-                                                           std::string* error) {
+std::unique_ptr<TransportServer> MakeTransportServer(const std::string& address,
+                                                     std::string* error) {
   StreamAddress parsed;
   if (!ParseStreamAddress(address, &parsed, error)) {
     return nullptr;
@@ -417,8 +421,8 @@ std::unique_ptr<TransportServer> MakeStreamTransportServer(const std::string& ad
   return std::make_unique<StreamServer>(std::move(parsed));
 }
 
-std::unique_ptr<TransportClient> MakeStreamTransportClient(const std::string& address,
-                                                           std::string* error) {
+std::unique_ptr<TransportClient> MakeTransportClient(const std::string& address,
+                                                     std::string* error) {
   StreamAddress parsed;
   if (!ParseStreamAddress(address, &parsed, error)) {
     return nullptr;

@@ -1,11 +1,5 @@
 #include "src/fleet/trap_store.h"
 
-#include <fcntl.h>
-#include <sys/file.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
 namespace tsvd::fleet {
@@ -48,67 +42,10 @@ size_t TrapStoreService::CommitRound(const TrapFile& round_traps) {
   std::lock_guard<std::mutex> lock(mu_);
   const size_t before = store_.size();
   store_.Merge(round_traps);
-  if (staged_.size() != 0) {
-    store_.Merge(staged_);
-    staged_ = TrapFile();
-  }
   if (store_.size() != before) {
     ++version_;
   }
   return store_.size();
-}
-
-size_t TrapStoreService::StageFederated(const TrapFile& remote_traps) {
-  std::lock_guard<std::mutex> lock(mu_);
-  staged_.Merge(remote_traps);
-  return staged_.size();
-}
-
-size_t TrapStoreService::staged_size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return staged_.size();
-}
-
-bool MergeIntoStoreFile(const std::string& path, const TrapFile& traps,
-                        std::string* error, size_t* merged_size) {
-  const auto fail = [error](const std::string& why) {
-    if (error != nullptr) {
-      *error = why;
-    }
-    return false;
-  };
-
-  // The lock file is a separate sibling: the store itself is replaced by rename,
-  // so a lock on its inode would not survive the swap.
-  const std::string lock_path = path + ".lock";
-  const int lock_fd = ::open(lock_path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-  if (lock_fd < 0) {
-    return fail("open " + lock_path + ": " + std::strerror(errno));
-  }
-  if (::flock(lock_fd, LOCK_EX) != 0) {
-    const int err = errno;
-    ::close(lock_fd);
-    return fail("flock " + lock_path + ": " + std::strerror(err));
-  }
-
-  bool ok = true;
-  std::string why;
-  {
-    // Critical section: read-merge-write is safe only while the lock is held.
-    TrapFile current;
-    TrapFile::SalvageFrom(path, &current);  // missing/corrupt file = start empty
-    current.Merge(traps);
-    if (!current.SaveTo(path)) {
-      ok = false;
-      why = "atomic save of " + path + " failed";
-    } else if (merged_size != nullptr) {
-      *merged_size = current.size();
-    }
-  }
-
-  ::flock(lock_fd, LOCK_UN);
-  ::close(lock_fd);
-  return ok ? true : fail(why);
 }
 
 }  // namespace tsvd::fleet

@@ -3,20 +3,14 @@
 // The fleet-wide trap store is the distributed form of the campaign's between-round
 // trap carry-over (PAPER.md §3.4.6): agents publish the near-miss pairs each run
 // learned, the coordinator merges them monotonically (union + canonical order, via
-// TrapFile), and agents fetch the merged store before their next run. Two pieces:
+// TrapFile), and agents fetch the merged store before their next run.
 //
-//  - TrapStoreService: the in-memory versioned store the coordinator serves over the
-//    transport. Versions advance only at round boundaries, so every job of a round
-//    imports the same snapshot — the exact semantics of the single-process
-//    campaign's per-round `imported` copy, which the fleet's bug-set-equality
-//    contract depends on. The version lets agents cache: a lease response carries
-//    the serialized store only when the agent's cached version is stale.
-//
-//  - MergeIntoStoreFile: cross-process monotone-union merge into a trap file on
-//    disk, serialized by an advisory file lock around TrapFile's atomic-rename
-//    save. Concurrent mergers never lose an entry — without the lock, two
-//    read-merge-write cycles could interleave and the later rename would drop the
-//    earlier writer's pairs.
+// TrapStoreService is the in-memory versioned store the coordinator serves over the
+// transport. Versions advance only at round boundaries, so every job of a round
+// imports the same snapshot — the exact semantics of the single-process campaign's
+// per-round `imported` copy, which the fleet's bug-set-equality contract depends
+// on. The version lets agents cache: a lease response carries the serialized store
+// only when the agent's cached version is stale.
 #ifndef SRC_FLEET_TRAP_STORE_H_
 #define SRC_FLEET_TRAP_STORE_H_
 
@@ -44,39 +38,15 @@ class TrapStoreService {
   // version. Call before serving.
   void Restore(TrapFile initial);
 
-  // Round boundary: merges the round's learned pairs — plus anything staged by
-  // federation since the last boundary — and bumps the version if the store
-  // grew. Returns the store size after the merge.
+  // Round boundary: merges the round's learned pairs and bumps the version if
+  // the store grew. Returns the store size after the merge.
   size_t CommitRound(const TrapFile& round_traps);
-
-  // Federation intake (DESIGN.md §14): pairs learned by a *peer* coordinator are
-  // staged here and folded in only at the next CommitRound, preserving the
-  // round-boundary commit invariant — every job of a round still imports one
-  // snapshot, no matter when a peer's delta arrived. Returns how many staged
-  // pairs are pending. Thread-safe; TrapFile::Merge's monotone union makes
-  // re-delivery (duplicated or replayed pushes) harmless.
-  size_t StageFederated(const TrapFile& remote_traps);
-
-  // Pairs staged but not yet committed. For tests and stats.
-  size_t staged_size() const;
 
  private:
   mutable std::mutex mu_;
   TrapFile store_;
-  TrapFile staged_;  // federation deltas awaiting the next round boundary
   uint64_t version_ = 1;
 };
-
-// Merges `traps` into the trap file at `path` (created if missing) under an
-// exclusive advisory lock on `path` + ".lock", so any number of processes can merge
-// concurrently without losing entries. The store itself is replaced atomically
-// (temp + rename, durability per SetDurableFileSync), so readers — including
-// lock-free ones — never observe a torn file. On success, `merged_size` (when
-// non-null) receives the store size after the merge. Returns false on I/O failure
-// with `error` describing it.
-bool MergeIntoStoreFile(const std::string& path, const TrapFile& traps,
-                        std::string* error = nullptr,
-                        size_t* merged_size = nullptr);
 
 }  // namespace tsvd::fleet
 

@@ -1,11 +1,7 @@
-// Shared socket wire helpers for the stream transports (DESIGN.md §13–14).
+// Socket wire helpers for the stream transport (DESIGN.md §13–14): the
+// EINTR-safe send/receive loops and the frame format that uds: and tcp: share.
 //
-// Both stream backends — uds: (newline-delimited JSON) and tcp: (length-prefixed
-// frames) — move bytes with the same two EINTR-safe loops. They live here so the
-// TCP backend reuses the exact loops the unix-socket backend has been proving
-// since PR 6 rather than reimplementing partial-write handling.
-//
-// The TCP frame format is deliberately dumb: a 4-byte big-endian payload length
+// The frame format is deliberately dumb: a 4-byte big-endian payload length
 // followed by that many bytes of compact JSON. Length-prefixed framing turns any
 // in-flight truncation into a detectable short read (the frame never parses as a
 // shorter valid document), and the length guard turns a garbage prefix — a port

@@ -2,8 +2,7 @@
 //
 // All write-path filesystem traffic that a crash, a full disk, or a flaky mount
 // can corrupt — the campaign journal, trap stores, bug-manager snapshots,
-// sandbox checkpoints, the report sinks, and the dir: transport's file queue —
-// goes through a Vfs instead of calling open/write/fsync/rename directly. In
+// sandbox checkpoints, and the report sinks — goes through a Vfs instead of calling open/write/fsync/rename directly. In
 // production the active Vfs is RealVfs (thin POSIX passthrough); tests and the
 // --io_chaos flag install a ChaosFs decorator (chaos_fs.h) over it, which is
 // what lets the storage-chaos suite inject ENOSPC, EIO, short writes, fsync

@@ -237,12 +237,15 @@ TEST(HotPathStressTest, AddPairStressCountsEachPairOnce) {
 // other threads may still hold index entries that point at them. A private or
 // fresh object is only ever touched by one thread, so any conflict reported on
 // one means two objects' histories got mixed up; conflicts on the shared pool
-// must only name shared-pool operations. Each thread stamps its accesses with its
-// own iteration count instead of the clock, so conflicts and sweeps happen however
-// the threads get scheduled.
+// must only name shared-pool operations. Every access is stamped with the next
+// tick of one shared logical clock instead of the wall clock, so time runs
+// without gaps across threads: a thread that starts late, or is descheduled for
+// a while, stamps its accesses right after the last ones recorded. Shared-pool
+// conflicts then form wherever the threads interleave or hand over the CPU, not
+// only when they happen to start within one window of each other.
 TEST(HotPathStressTest, NearMissIndexGrowthAndRecyclingNeverMixObjects) {
   Config cfg;
-  cfg.nearmiss_window_us = 50;  // fresh objects go stale 400 iterations on
+  cfg.nearmiss_window_us = 50;  // fresh objects go stale 400 ticks on
   cfg.nearmiss_history = 5;
   NearMissTracker tracker(cfg);
   constexpr int kThreads = 4;
@@ -250,6 +253,7 @@ TEST(HotPathStressTest, NearMissIndexGrowthAndRecyclingNeverMixObjects) {
   constexpr OpId kSharedOps = 4;
   std::atomic<int> mixed{0};
   std::atomic<int> shared_conflicts{0};
+  std::atomic<Micros> clock{0};
   std::atomic<bool> go{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -265,7 +269,7 @@ TEST(HotPathStressTest, NearMissIndexGrowthAndRecyclingNeverMixObjects) {
         Access access;
         access.tid = tid;
         access.kind = ((i / 4) & 1) != 0 ? OpKind::kWrite : OpKind::kRead;
-        access.time = i;
+        access.time = clock.fetch_add(1, std::memory_order_relaxed);
         bool shared = false;
         switch (i % 4) {
           case 0:

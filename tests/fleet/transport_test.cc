@@ -1,10 +1,10 @@
-// Transport conformance, run against every backend: request/response integrity,
-// concurrent clients, clients that start before the server listens (agents race
-// the coordinator), and clean Stop. The same suite binds to "uds:", "dir:", and
-// "tcp:" addresses, so every backend inherits the contract. The two stream
-// backends additionally get raw-socket framing-robustness tests (torn frames,
-// lying length prefixes, garbage payloads) that the generic client interface
-// cannot express, and a reconnect-churn test of connection reaping.
+// Transport conformance, run against both address families: request/response
+// integrity, concurrent clients, clients that start before the server listens
+// (agents race the coordinator), and clean Stop. Both suites bind to "uds:" and
+// "tcp:" addresses: the second speaks raw bytes at the listener for the
+// framing-robustness tests (torn frames, lying length prefixes, garbage
+// payloads) that the generic client interface cannot express, plus a
+// reconnect-churn test of connection reaping.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -67,6 +67,13 @@ int ProbeFreeTcpPort() {
   const int port = ntohs(addr.sin_port);
   ::close(fd);
   return port;
+}
+
+// The address families every suite below runs over.
+constexpr const char* kBackends[] = {"uds", "tcp"};
+
+std::string BackendName(const testing::TestParamInfo<const char*>& param) {
+  return param.param;
 }
 
 class TransportTest : public testing::TestWithParam<const char*> {
@@ -195,19 +202,25 @@ TEST_P(TransportTest, StopIsIdempotentAndCallAfterStopFails) {
   EXPECT_FALSE(error.empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, TransportTest,
-                         testing::Values("uds", "dir", "tcp"),
-                         [](const testing::TestParamInfo<const char*>& param) {
-                           return std::string(param.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(AllBackends, TransportTest, testing::ValuesIn(kBackends),
+                         BackendName);
+
+// The part of a factory error that lists the schemes it wants, past the echoed
+// address.
+std::string WantedSchemes(const std::string& error) {
+  const size_t want = error.find("(want");
+  return want == std::string::npos ? "" : error.substr(want);
+}
 
 TEST(TransportFactoryTest, UnknownSchemeIsRejected) {
-  std::string error;
-  EXPECT_EQ(MakeTransportServer("carrier-pigeon:/coop", &error), nullptr);
-  EXPECT_FALSE(error.empty());
-  error.clear();
-  EXPECT_EQ(MakeTransportClient("carrier-pigeon:/coop", &error), nullptr);
-  EXPECT_FALSE(error.empty());
+  for (const char* address : {"carrier-pigeon:/coop", "dir:/q"}) {
+    std::string error;
+    EXPECT_EQ(MakeTransportServer(address, &error), nullptr) << address;
+    EXPECT_EQ(WantedSchemes(error), "(want uds: or tcp:)") << error;
+    error.clear();
+    EXPECT_EQ(MakeTransportClient(address, &error), nullptr) << address;
+    EXPECT_EQ(WantedSchemes(error), "(want uds: or tcp:)") << error;
+  }
 }
 
 TEST(TransportFactoryTest, MalformedTcpAddressesAreRejectedWithReasons) {
@@ -228,7 +241,7 @@ TEST(TransportFactoryTest, MalformedTcpAddressesAreRejectedWithReasons) {
   }
 }
 
-// --- Stream-server robustness, over both stream backends ---------------------
+// --- Stream-server robustness -------------------------------------------------
 // These speak raw bytes at the listener, which the TransportClient interface
 // cannot do: a hostile or truncated byte stream must cost one connection, never
 // the server. uds: and tcp: share one server, so both get the same abuse.
@@ -394,10 +407,8 @@ TEST_P(StreamTest, SequentialReconnectChurnReapsEveryConnection) {
   EXPECT_LT(VmSizeKb() - vm_before_kb, 128 * 1024);
 }
 
-INSTANTIATE_TEST_SUITE_P(StreamBackends, StreamTest, testing::Values("uds", "tcp"),
-                         [](const testing::TestParamInfo<const char*>& param) {
-                           return std::string(param.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(StreamBackends, StreamTest, testing::ValuesIn(kBackends),
+                         BackendName);
 
 TEST(TcpClientErrorTest, ConnectFailureNamesEndpointAndErrnoCause) {
   // Nothing listens on the probed port; the refusal must name the endpoint and

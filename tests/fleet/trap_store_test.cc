@@ -1,46 +1,15 @@
-// Trap-store service semantics (versions advance only at round boundaries, and
-// only when the store grows) and the cross-process monotone-union merge: two
-// processes hammering MergeIntoStoreFile concurrently must never lose an entry —
-// the invariant the whole learned-near-miss carry-over rests on.
+// Trap-store service semantics: versions advance only at round boundaries, and
+// only when the store grows, so every job of a round imports one snapshot.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <filesystem>
 #include <string>
 #include <utility>
-
-#ifndef _WIN32
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
 
 #include "src/fleet/trap_store.h"
 #include "src/report/trap_file.h"
 
 namespace tsvd::fleet {
 namespace {
-
-namespace fs = std::filesystem;
-
-struct ScopedTempDir {
-  ScopedTempDir() {
-    static std::atomic<int> counter{0};
-    const auto stamp =
-        std::chrono::steady_clock::now().time_since_epoch().count();
-    path = (fs::temp_directory_path() /
-            ("tsvd_trap_store_test_" + std::to_string(stamp) + "_" +
-             std::to_string(counter.fetch_add(1))))
-               .string();
-    fs::create_directories(path);
-  }
-  ~ScopedTempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  std::string path;
-};
 
 TrapFile MakeTraps(std::initializer_list<std::pair<std::string, std::string>> pairs) {
   TrapFile file;
@@ -80,31 +49,6 @@ TEST(TrapStoreServiceTest, SerializeIfStaleOnlyShipsToStaleCallers) {
   EXPECT_FALSE(service.SerializeIfStale(version, &version, &text));
 }
 
-TEST(TrapStoreServiceTest, StagedFederationPairsAreInvisibleUntilCommitRound) {
-  TrapStoreService service;
-  service.CommitRound(MakeTraps({{"a.cc:1 Get", "b.cc:2 Set"}}));
-  const uint64_t version_before = service.version();
-
-  // A peer's delta arrives mid-round: staged, not merged — jobs of the current
-  // round must keep seeing the snapshot they started with.
-  EXPECT_EQ(service.StageFederated(MakeTraps({{"peer.cc:5 Lock", "peer.cc:6 Unlock"}})),
-            1u);
-  EXPECT_EQ(service.staged_size(), 1u);
-  EXPECT_EQ(service.Snapshot().size(), 1u);
-  EXPECT_EQ(service.version(), version_before);
-
-  // Re-delivery of the same delta (duplicated push over a lossy link) is a
-  // no-op thanks to the monotone union.
-  EXPECT_EQ(service.StageFederated(MakeTraps({{"peer.cc:5 Lock", "peer.cc:6 Unlock"}})),
-            1u);
-
-  // The round boundary folds the staged pairs in and bumps the version once.
-  EXPECT_EQ(service.CommitRound(TrapFile()), 2u);
-  EXPECT_EQ(service.staged_size(), 0u);
-  EXPECT_TRUE(service.Snapshot().Contains("peer.cc:5 Lock", "peer.cc:6 Unlock"));
-  EXPECT_EQ(service.version(), version_before + 1);
-}
-
 TEST(TrapStoreServiceTest, RestoreSeedsWithoutBumpingTheVersion) {
   TrapStoreService service;
   service.Restore(MakeTraps({{"a.cc:1 Get", "b.cc:2 Set"},
@@ -112,85 +56,6 @@ TEST(TrapStoreServiceTest, RestoreSeedsWithoutBumpingTheVersion) {
   EXPECT_EQ(service.version(), 1u);
   EXPECT_EQ(service.Snapshot().size(), 2u);
 }
-
-TEST(TrapStoreMergeTest, MergeIntoMissingFileCreatesIt) {
-  ScopedTempDir dir;
-  const std::string path = dir.path + "/traps.tsvd";
-  std::string error;
-  size_t merged_size = 0;
-  ASSERT_TRUE(MergeIntoStoreFile(path, MakeTraps({{"x.cc:9 Read", "y.cc:8 Write"}}),
-                                 &error, &merged_size))
-      << error;
-  EXPECT_EQ(merged_size, 1u);
-
-  TrapFile loaded;
-  ASSERT_TRUE(TrapFile::LoadFrom(path, &loaded));
-  EXPECT_TRUE(loaded.Contains("x.cc:9 Read", "y.cc:8 Write"));
-}
-
-TEST(TrapStoreMergeTest, SequentialMergesUnionMonotonically) {
-  ScopedTempDir dir;
-  const std::string path = dir.path + "/traps.tsvd";
-  ASSERT_TRUE(MergeIntoStoreFile(path, MakeTraps({{"a", "b"}, {"c", "d"}})));
-  ASSERT_TRUE(MergeIntoStoreFile(path, MakeTraps({{"c", "d"}, {"e", "f"}})));
-
-  TrapFile loaded;
-  ASSERT_TRUE(TrapFile::LoadFrom(path, &loaded));
-  EXPECT_EQ(loaded.size(), 3u);
-  EXPECT_TRUE(loaded.Contains("a", "b"));
-  EXPECT_TRUE(loaded.Contains("c", "d"));
-  EXPECT_TRUE(loaded.Contains("e", "f"));
-}
-
-#ifndef _WIN32
-// The satellite's contention proof: two child processes each push their own
-// disjoint sequence of entries into the same store file, interleaving freely.
-// The advisory lock must serialize the read-merge-write cycles so the final
-// store holds every entry from both writers — a lost update here would silently
-// forget learned near-misses fleet-wide.
-TEST(TrapStoreMergeTest, ConcurrentProcessesNeverLoseAnEntry) {
-  ScopedTempDir dir;
-  const std::string path = dir.path + "/traps.tsvd";
-  constexpr int kWriters = 2;
-  constexpr int kMergesPerWriter = 25;
-
-  pid_t children[kWriters] = {};
-  for (int w = 0; w < kWriters; ++w) {
-    const pid_t pid = fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-      SetDurableFileSync(false);  // speed; rename atomicity is what's under test
-      for (int i = 0; i < kMergesPerWriter; ++i) {
-        const std::string tag =
-            "w" + std::to_string(w) + "_" + std::to_string(i);
-        if (!MergeIntoStoreFile(path,
-                                MakeTraps({{"first_" + tag, "second_" + tag}}))) {
-          _exit(1);
-        }
-      }
-      _exit(0);
-    }
-    children[w] = pid;
-  }
-  for (const pid_t pid : children) {
-    int status = 0;
-    ASSERT_EQ(waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-        << "writer child failed";
-  }
-
-  TrapFile loaded;
-  ASSERT_TRUE(TrapFile::LoadFrom(path, &loaded));
-  EXPECT_EQ(loaded.size(), static_cast<size_t>(kWriters * kMergesPerWriter));
-  for (int w = 0; w < kWriters; ++w) {
-    for (int i = 0; i < kMergesPerWriter; ++i) {
-      const std::string tag = "w" + std::to_string(w) + "_" + std::to_string(i);
-      EXPECT_TRUE(loaded.Contains("first_" + tag, "second_" + tag))
-          << "lost entry " << tag;
-    }
-  }
-}
-#endif  // !_WIN32
 
 }  // namespace
 }  // namespace tsvd::fleet

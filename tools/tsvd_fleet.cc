@@ -23,6 +23,7 @@
 #include "src/campaign/campaign.h"
 #include "src/fleet/agent.h"
 #include "src/fleet/coordinator.h"
+#include "src/fleet/transport.h"
 #include "src/sandbox/sandbox.h"
 #include "tools/campaign_cli.h"
 #include "tools/flag_parser.h"
@@ -37,7 +38,7 @@ Usage: tsvd_fleet [--flag=value ...]          # coordinator, spawns --agents=N a
 
  coordinator:
   --agents=N       agent processes to spawn (default 4; 0 = external agents only)
-  --address=ADDR   transport endpoint: uds:<socket-path> | dir:<queue-dir> |
+  --address=ADDR   transport endpoint: uds:<socket-path> |
                    tcp:<host>:<port>[?backlog=N] (default "uds:<out>/fleet.sock";
                    tcp port 0 picks a free port and tells the spawned agents)
   --transport=ADDR alias for --address (and for --connect in agent mode)
@@ -46,13 +47,10 @@ Usage: tsvd_fleet [--flag=value ...]          # coordinator, spawns --agents=N a
                    stealable immediately and it is told to exit (default 0 = off)
   --heartbeat_ms=N agent heartbeat cadence, forwarded to spawned agents
                    (default 1000; 0 = no heartbeat thread)
-  --federate=ADDR[,ADDR...]  peer coordinators to gossip the trap store with
-                   over store_pull/store_push (multi-machine federation)
-  --federation_interval_ms=N  gossip cycle period (default 1000)
-  --chaos=SPEC     inject deterministic network faults on every agent and
-                   federation link, e.g. "seed=7,drop_send=0.1,drop_recv=0.1,
-                   dup=0.2,delay_ms=5" (see DESIGN.md S14 for all keys)
-  --auth_token=S   shared-secret join check: a hello without a matching token is
+  --chaos=SPEC     inject deterministic network faults on every agent link,
+                   e.g. "seed=7,drop_send=0.1,drop_recv=0.1,dup=0.2,delay_ms=5"
+                   (see DESIGN.md S14 for all keys)
+  --auth_token=S   shared-secret check: any request without a matching token is
                    answered with a framed error and counted (constant-time
                    compare; forwarded to spawned agents). Use on tcp: listeners
                    shared beyond one trust domain.
@@ -80,7 +78,7 @@ Usage: tsvd_fleet [--flag=value ...]          # coordinator, spawns --agents=N a
                    for dead (default 30000)
   --heartbeat_ms=N liveness heartbeat cadence (default 0 = none)
   --chaos=SPEC --chaos_salt=N  fault injection on this agent's links
-  --auth_token=S   shared secret presented in the hello (must match the
+  --auth_token=S   shared secret presented on every request (must match the
                    coordinator's --auth_token)
 
  exit codes (agent mode):
@@ -101,23 +99,6 @@ The fleet and the single-process tsvd_campaign report the same unique-bug set fo
 identical campaign flags and seed; agent deaths mid-round — and, under --chaos,
 dropped/duplicated/delayed messages and healed partitions — do not change it.
 )";
-
-// Splits "a,b,c" into {"a","b","c"}, skipping empty items.
-std::vector<std::string> SplitCommaList(const std::string& text) {
-  std::vector<std::string> items;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = text.size();
-    }
-    if (comma > pos) {
-      items.push_back(text.substr(pos, comma - pos));
-    }
-    pos = comma + 1;
-  }
-  return items;
-}
 
 int RunAgentMode(tsvd::tools::FlagParser& flags) {
   tsvd::fleet::AgentOptions options;
@@ -292,10 +273,6 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.GetInt("heartbeat_ms", 1000, 0, 600000));
   const std::string chaos = flags.GetString("chaos", "");
   options.auth_token = flags.GetString("auth_token", "");
-  options.federation.peers = SplitCommaList(flags.GetString("federate", ""));
-  options.federation.interval_ms =
-      static_cast<int>(flags.GetInt("federation_interval_ms", 1000, 10, 3600000));
-  options.federation.chaos = chaos;
   std::string address = flags.GetString("address", "");
   if (address.empty()) {
     address = flags.GetString("transport", "");
@@ -309,12 +286,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "tsvd_fleet: --out=DIR is required\nTry --help.\n");
     return 2;
   }
-  std::filesystem::create_directories(options.campaign.out_dir);
   if (address.empty()) {
     address = "uds:" + options.campaign.out_dir + "/fleet.sock";
   }
   address = ResolveEphemeralTcpPort(address);
+  std::string address_error;
+  if (fleet::MakeTransportServer(address, &address_error) == nullptr) {
+    std::fprintf(stderr, "tsvd_fleet: --address: %s\nTry --help.\n",
+                 address_error.c_str());
+    return 2;
+  }
   options.address = address;
+  std::filesystem::create_directories(options.campaign.out_dir);
 
   std::printf(
       "tsvd_fleet: %s, %d modules, %d agent(s), up to %d round(s), scale %.3f, "
@@ -370,14 +353,13 @@ int main(int argc, char** argv) {
     int status = 0;
     ::waitpid(pid, &status, 0);
   }
-  const fleet::FederationStats fed_stats = coordinator.federation_stats();
   coordinator.Shutdown();
 
   const fleet::FleetStats fstats = coordinator.stats();
   return tools::ReportCampaign("tsvd_fleet", result, [&] {
     std::printf(
         "fleet: %llu agent join(s), %llu lease(s), %llu stolen, %llu duplicate "
-        "result(s), %llu replayed request(s), %llu eviction(s), %llu hello(s) "
+        "result(s), %llu replayed request(s), %llu eviction(s), %llu request(s) "
         "rejected by auth\n",
         static_cast<unsigned long long>(fstats.agents_joined),
         static_cast<unsigned long long>(fstats.leases_granted),
@@ -385,16 +367,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(fstats.duplicate_results),
         static_cast<unsigned long long>(fstats.duplicate_requests),
         static_cast<unsigned long long>(fstats.agents_evicted),
-        static_cast<unsigned long long>(fstats.hellos_rejected_auth));
-    if (!options.federation.peers.empty()) {
-      std::printf(
-          "federation: %zu peer(s), %llu pull(s), %llu push(es), %llu "
-          "failure(s), %llu pair(s) staged\n",
-          options.federation.peers.size(),
-          static_cast<unsigned long long>(fed_stats.pulls),
-          static_cast<unsigned long long>(fed_stats.pushes),
-          static_cast<unsigned long long>(fed_stats.failures),
-          static_cast<unsigned long long>(fed_stats.pairs_staged));
-    }
+        static_cast<unsigned long long>(fstats.requests_rejected_auth));
   });
 }
