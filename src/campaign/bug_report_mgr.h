@@ -38,6 +38,22 @@ class BugReportMgr {
     bool read_write = false;
     bool same_location = false;
     bool async_flavor = false;
+
+    // The field list of the journal's dedup snapshot (src/campaign/json.h).
+    template <class V, class... R>
+    static void VisitFields(V&& visit, R&... r) {
+      visit("sig_first", r.sig_first...);
+      visit("sig_second", r.sig_second...);
+      visit("api_first", r.api_first...);
+      visit("api_second", r.api_second...);
+      visit("modules", r.modules...);
+      visit("stack_digests", r.stack_digests...);
+      visit("first_round", r.first_round...);
+      visit("occurrences", r.occurrences...);
+      visit("read_write", r.read_write...);
+      visit("same_location", r.same_location...);
+      visit("async_flavor", r.async_flavor...);
+    }
   };
 
   // Thread-safe. Returns true iff the observation introduced a NEW unique bug (its

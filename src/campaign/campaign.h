@@ -83,6 +83,39 @@ struct CampaignOptions {
   Micros stall_grace_us = -1;       // >= 0: replace the scaled sentinel grace
   double max_overhead_pct = -1.0;   // >= 0: set the adaptive overhead cap
   int max_internal_errors = -1;     // >= 0: set the fail-open firewall threshold
+
+  // The fields a fleet coordinator ships to its agents (src/fleet/protocol.h; field
+  // lists: src/campaign/json.h). Process-local fields (workers, out_dir, resume,
+  // snapshot cadence, interrupt) are deliberately not listed: each process owns
+  // those.
+  template <class V, class... R>
+  static void VisitFields(V&& visit, R&... r) {
+    visit("detector", r.detector...);
+    visit("num_modules", r.num_modules...);
+    visit("rounds", r.rounds...);
+    visit("stop_when_converged", r.stop_when_converged...);
+    visit("max_attempts", r.max_attempts...);
+    visit("scale", r.scale...);
+    visit("seed", r.seed...);
+    visit("buggy_module_fraction", r.buggy_module_fraction...);
+    visit("pool_threads_per_worker", r.pool_threads_per_worker...);
+    visit("sandbox_enabled", r.sandbox.enabled...);
+    visit("run_timeout_ms", r.sandbox.run_timeout_ms...);
+    visit("backoff_base_ms", r.sandbox.backoff_base_ms...);
+    visit("backoff_cap_ms", r.sandbox.backoff_cap_ms...);
+    visit("degrade_delay_factor", r.sandbox.degrade_delay_factor...);
+    visit("degrade_budget_factor", r.sandbox.degrade_budget_factor...);
+    visit("initial_budget_delays", r.sandbox.initial_budget_delays...);
+    visit("min_delay_us", r.sandbox.min_delay_us...);
+    visit("fault_crash_modules", r.fault_crash_modules...);
+    visit("fault_hang_modules", r.fault_hang_modules...);
+    visit("fault_throw_modules", r.fault_throw_modules...);
+    visit("fault_deadlock_modules", r.fault_deadlock_modules...);
+    visit("delay_us_override", r.delay_us_override...);
+    visit("stall_grace_us", r.stall_grace_us...);
+    visit("max_overhead_pct", r.max_overhead_pct...);
+    visit("max_internal_errors", r.max_internal_errors...);
+  }
 };
 
 struct CampaignResult {

@@ -293,10 +293,7 @@ void CampaignDriver::Ingest(std::vector<RunOutcome> outcomes, RoundStats* stats,
         quarantined_[outcome.module_index] = 1;
       }
     }
-    stats->delays_injected += outcome.delays_injected;
-    stats->delays_early_woken += outcome.delays_early_woken;
-    stats->delays_aborted_stall += outcome.delays_aborted_stall;
-    stats->delays_skipped_budget += outcome.delays_skipped_budget;
+    stats->DelayCounts::Add(outcome);
     if (outcome.runtime_disabled) {
       ++stats->runtime_disabled;
     }

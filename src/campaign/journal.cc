@@ -17,212 +17,6 @@ namespace {
 constexpr int kJournalVersion = 1;
 constexpr int kSnapshotVersion = 1;
 
-// Typed field readers mirroring the outcome codec's: absent keys keep the default
-// (the format can grow), present-but-mistyped values fail the record.
-bool ReadInt(const Json& doc, const char* key, int64_t* out) {
-  const Json* v = doc.Find(key);
-  if (v == nullptr) {
-    return true;
-  }
-  if (!v->is_number()) {
-    return false;
-  }
-  *out = v->as_int();
-  return true;
-}
-
-bool ReadDouble(const Json& doc, const char* key, double* out) {
-  const Json* v = doc.Find(key);
-  if (v == nullptr) {
-    return true;
-  }
-  if (!v->is_number()) {
-    return false;
-  }
-  *out = v->as_double();
-  return true;
-}
-
-bool ReadString(const Json& doc, const char* key, std::string* out) {
-  const Json* v = doc.Find(key);
-  if (v == nullptr) {
-    return true;
-  }
-  if (!v->is_string()) {
-    return false;
-  }
-  *out = v->as_string();
-  return true;
-}
-
-bool ReadBool(const Json& doc, const char* key, bool* out) {
-  const Json* v = doc.Find(key);
-  if (v == nullptr) {
-    return true;
-  }
-  if (!v->is_bool()) {
-    return false;
-  }
-  *out = v->as_bool();
-  return true;
-}
-
-Json EncodeHeader(const JournalHeader& header) {
-  Json j = Json::MakeObject();
-  j.Set("type", "header");
-  j.Set("version", header.version);
-  j.Set("detector", header.detector);
-  j.Set("seed", header.seed);
-  j.Set("num_modules", header.num_modules);
-  j.Set("scale", header.scale);
-  j.Set("rounds", header.rounds);
-  return j;
-}
-
-bool DecodeHeader(const Json& doc, JournalHeader* out) {
-  *out = JournalHeader{};
-  int64_t version = out->version, seed = 0, num_modules = 0, rounds = 0;
-  if (!ReadInt(doc, "version", &version) ||
-      !ReadString(doc, "detector", &out->detector) || !ReadInt(doc, "seed", &seed) ||
-      !ReadInt(doc, "num_modules", &num_modules) ||
-      !ReadDouble(doc, "scale", &out->scale) || !ReadInt(doc, "rounds", &rounds)) {
-    return false;
-  }
-  out->version = static_cast<int>(version);
-  out->seed = static_cast<uint64_t>(seed);
-  out->num_modules = static_cast<int>(num_modules);
-  out->rounds = static_cast<int>(rounds);
-  return out->version == kJournalVersion;
-}
-
-Json EncodeRoundStats(const RoundStats& s) {
-  Json j = Json::MakeObject();
-  j.Set("round", s.round);
-  j.Set("runs", s.runs);
-  j.Set("crashed", s.crashed);
-  j.Set("retried", s.retried);
-  j.Set("timed_out", s.timed_out);
-  j.Set("killed_by_signal", s.killed_by_signal);
-  j.Set("quarantined", s.quarantined);
-  j.Set("new_unique_bugs", s.new_unique_bugs);
-  j.Set("retrapped_imported", s.retrapped_imported);
-  j.Set("trap_pairs_after", s.trap_pairs_after);
-  j.Set("interrupted", s.interrupted);
-  j.Set("delays_injected", s.delays_injected);
-  j.Set("delays_early_woken", s.delays_early_woken);
-  j.Set("delays_aborted_stall", s.delays_aborted_stall);
-  j.Set("delays_skipped_budget", s.delays_skipped_budget);
-  j.Set("runtime_disabled", s.runtime_disabled);
-  j.Set("wall_us", static_cast<int64_t>(s.wall_us));
-  return j;
-}
-
-bool DecodeRoundStats(const Json& doc, RoundStats* out) {
-  *out = RoundStats{};
-  int64_t round = 0, runs = 0, crashed = 0, retried = 0, timed_out = 0,
-          killed = 0, quarantined = 0, new_bugs = 0, retrapped = 0, traps = 0,
-          delays = 0, early = 0, aborted = 0, skipped = 0, disabled = 0, wall = 0;
-  if (!doc.is_object() || !ReadInt(doc, "round", &round) ||
-      !ReadInt(doc, "runs", &runs) || !ReadInt(doc, "crashed", &crashed) ||
-      !ReadInt(doc, "retried", &retried) || !ReadInt(doc, "timed_out", &timed_out) ||
-      !ReadInt(doc, "killed_by_signal", &killed) ||
-      !ReadInt(doc, "quarantined", &quarantined) ||
-      !ReadInt(doc, "new_unique_bugs", &new_bugs) ||
-      !ReadInt(doc, "retrapped_imported", &retrapped) ||
-      !ReadInt(doc, "trap_pairs_after", &traps) ||
-      !ReadBool(doc, "interrupted", &out->interrupted) ||
-      !ReadInt(doc, "delays_injected", &delays) ||
-      !ReadInt(doc, "delays_early_woken", &early) ||
-      !ReadInt(doc, "delays_aborted_stall", &aborted) ||
-      !ReadInt(doc, "delays_skipped_budget", &skipped) ||
-      !ReadInt(doc, "runtime_disabled", &disabled) ||
-      !ReadInt(doc, "wall_us", &wall)) {
-    return false;
-  }
-  out->round = static_cast<int>(round);
-  out->runs = static_cast<int>(runs);
-  out->crashed = static_cast<int>(crashed);
-  out->retried = static_cast<int>(retried);
-  out->timed_out = static_cast<int>(timed_out);
-  out->killed_by_signal = static_cast<int>(killed);
-  out->quarantined = static_cast<int>(quarantined);
-  out->new_unique_bugs = static_cast<uint64_t>(new_bugs);
-  out->retrapped_imported = static_cast<uint64_t>(retrapped);
-  out->trap_pairs_after = static_cast<size_t>(traps);
-  out->delays_injected = static_cast<uint64_t>(delays);
-  out->delays_early_woken = static_cast<uint64_t>(early);
-  out->delays_aborted_stall = static_cast<uint64_t>(aborted);
-  out->delays_skipped_budget = static_cast<uint64_t>(skipped);
-  out->runtime_disabled = static_cast<int>(disabled);
-  out->wall_us = wall;
-  return true;
-}
-
-Json EncodeUniqueBug(const BugReportMgr::UniqueBug& bug) {
-  Json j = Json::MakeObject();
-  j.Set("sig_first", bug.sig_first);
-  j.Set("sig_second", bug.sig_second);
-  j.Set("api_first", bug.api_first);
-  j.Set("api_second", bug.api_second);
-  j.Set("first_round", bug.first_round);
-  j.Set("occurrences", bug.occurrences);
-  j.Set("read_write", bug.read_write);
-  j.Set("same_location", bug.same_location);
-  j.Set("async_flavor", bug.async_flavor);
-  Json modules = Json::MakeArray();
-  for (const std::string& module : bug.modules) {
-    modules.Push(module);
-  }
-  j.Set("modules", std::move(modules));
-  Json digests = Json::MakeArray();
-  for (uint64_t digest : bug.stack_digests) {
-    digests.Push(static_cast<int64_t>(digest));
-  }
-  j.Set("stack_digests", std::move(digests));
-  return j;
-}
-
-bool DecodeUniqueBug(const Json& doc, BugReportMgr::UniqueBug* out) {
-  *out = BugReportMgr::UniqueBug{};
-  int64_t first_round = 0, occurrences = 0;
-  if (!doc.is_object() || !ReadString(doc, "sig_first", &out->sig_first) ||
-      !ReadString(doc, "sig_second", &out->sig_second) ||
-      !ReadString(doc, "api_first", &out->api_first) ||
-      !ReadString(doc, "api_second", &out->api_second) ||
-      !ReadInt(doc, "first_round", &first_round) ||
-      !ReadInt(doc, "occurrences", &occurrences) ||
-      !ReadBool(doc, "read_write", &out->read_write) ||
-      !ReadBool(doc, "same_location", &out->same_location) ||
-      !ReadBool(doc, "async_flavor", &out->async_flavor)) {
-    return false;
-  }
-  out->first_round = static_cast<int>(first_round);
-  out->occurrences = static_cast<uint64_t>(occurrences);
-  if (const Json* modules = doc.Find("modules"); modules != nullptr) {
-    if (!modules->is_array()) {
-      return false;
-    }
-    for (size_t i = 0; i < modules->size(); ++i) {
-      if (!modules->at(i).is_string()) {
-        return false;
-      }
-      out->modules.insert(modules->at(i).as_string());
-    }
-  }
-  if (const Json* digests = doc.Find("stack_digests"); digests != nullptr) {
-    if (!digests->is_array()) {
-      return false;
-    }
-    for (size_t i = 0; i < digests->size(); ++i) {
-      if (!digests->at(i).is_number()) {
-        return false;
-      }
-      out->stack_digests.insert(static_cast<uint64_t>(digests->at(i).as_int()));
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 bool JournalHeader::CompatibleWith(const JournalHeader& other,
@@ -288,7 +82,8 @@ bool CampaignJournal::Open(const std::string& path, const JournalHeader& header,
   if (truncate) {
     run_records_ = 0;
     committed_bytes_ = 0;
-    Json h = EncodeHeader(header);
+    Json h = EncodeFields(header);
+    h.Set("type", "header");
     h.Set("version", kJournalVersion);
     const std::string line = h.Dump() + "\n";
     if ((err = WriteAndSyncLocked(line)) != 0) {
@@ -367,7 +162,7 @@ bool CampaignJournal::AppendRoundComplete(const RoundStats& stats,
   Json j = Json::MakeObject();
   j.Set("type", "round");
   j.Set("round", stats.round);
-  j.Set("stats", EncodeRoundStats(stats));
+  j.Set("stats", EncodeFields(stats));
   j.Set("cumulative_unique_bugs", cumulative_unique_bugs);
   std::lock_guard<std::mutex> lock(mu_);
   return AppendLine(j.Dump() + "\n");
@@ -448,7 +243,7 @@ bool CampaignJournal::Load(const std::string& path, JournalReplay* out) {
     Json doc;
     std::string type;
     if (!Json::Parse(line, &doc) || !doc.is_object() ||
-        !ReadString(doc, "type", &type)) {
+        !ReadField(doc, "type", &type)) {
       // An unterminated or unparsable final line is the torn tail of a crashed
       // append — expected damage, dropped silently but reported. Anything
       // unparsable mid-file is salvage-skipped like a malformed trap-store line.
@@ -461,7 +256,9 @@ bool CampaignJournal::Load(const std::string& path, JournalReplay* out) {
     }
 
     if (type == "header") {
-      if (DecodeHeader(doc, &out->header)) {
+      JournalHeader header;
+      if (DecodeFields(doc, &header) && header.version == kJournalVersion) {
+        out->header = header;
         out->has_header = true;
       } else {
         ++out->malformed_records;
@@ -479,9 +276,9 @@ bool CampaignJournal::Load(const std::string& path, JournalReplay* out) {
     } else if (type == "round") {
       RoundStats stats;
       const Json* encoded = doc.Find("stats");
-      int64_t cumulative = 0;
-      if (encoded != nullptr && DecodeRoundStats(*encoded, &stats) &&
-          ReadInt(doc, "cumulative_unique_bugs", &cumulative)) {
+      uint64_t cumulative = 0;
+      if (encoded != nullptr && DecodeFields(*encoded, &stats) &&
+          ReadField(doc, "cumulative_unique_bugs", &cumulative)) {
         // Keep rounds in order; a duplicate round record (possible only under
         // hand-edited journals) keeps the last write.
         while (!out->completed_rounds.empty() &&
@@ -489,7 +286,7 @@ bool CampaignJournal::Load(const std::string& path, JournalReplay* out) {
           out->completed_rounds.pop_back();
         }
         out->completed_rounds.push_back(stats);
-        out->unique_bugs_at_last_round = static_cast<uint64_t>(cumulative);
+        out->unique_bugs_at_last_round = cumulative;
       } else if (is_last) {
         out->torn_tail = true;
       } else {
@@ -498,7 +295,7 @@ bool CampaignJournal::Load(const std::string& path, JournalReplay* out) {
     } else if (type == "complete") {
       out->complete = true;
       bool converged = false;
-      if (ReadBool(doc, "converged", &converged)) {
+      if (ReadField(doc, "converged", &converged)) {
         out->converged = converged;
       }
     } else if (type == "event") {
@@ -517,7 +314,7 @@ bool SaveBugMgrSnapshot(const std::string& path, const BugReportMgr& mgr,
   j.Set("watermark", watermark);
   Json bugs = Json::MakeArray();
   for (const BugReportMgr::UniqueBug& bug : mgr.Bugs()) {
-    bugs.Push(EncodeUniqueBug(bug));
+    bugs.Push(EncodeFields(bug));
   }
   j.Set("bugs", std::move(bugs));
   return AtomicWriteFileDurable(path, j.Dump(2), durable, err);
@@ -535,12 +332,11 @@ bool LoadBugMgrSnapshot(const std::string& path, BugMgrSnapshot* out) {
   if (!Json::Parse(buffer.str(), &doc) || !doc.is_object()) {
     return false;
   }
-  int64_t version = 0, watermark = 0;
-  if (!ReadInt(doc, "version", &version) || version != kSnapshotVersion ||
-      !ReadInt(doc, "watermark", &watermark)) {
+  int version = 0;
+  if (!ReadField(doc, "version", &version) || version != kSnapshotVersion ||
+      !ReadField(doc, "watermark", &out->watermark)) {
     return false;
   }
-  out->watermark = static_cast<uint64_t>(watermark);
   const Json* bugs = doc.Find("bugs");
   if (bugs == nullptr || !bugs->is_array()) {
     return false;
@@ -548,7 +344,7 @@ bool LoadBugMgrSnapshot(const std::string& path, BugMgrSnapshot* out) {
   out->bugs.reserve(bugs->size());
   for (size_t i = 0; i < bugs->size(); ++i) {
     BugReportMgr::UniqueBug bug;
-    if (!DecodeUniqueBug(bugs->at(i), &bug)) {
+    if (!DecodeFields(bugs->at(i), &bug)) {
       return false;
     }
     out->bugs.push_back(std::move(bug));

@@ -57,6 +57,17 @@ struct JournalHeader {
   double scale = 0;
   int rounds = 0;  // requested round bound (informational; may grow on resume)
 
+  // The field list of the journal's header record (src/campaign/json.h).
+  template <class V, class... R>
+  static void VisitFields(V&& visit, R&... r) {
+    visit("version", r.version...);
+    visit("detector", r.detector...);
+    visit("seed", r.seed...);
+    visit("num_modules", r.num_modules...);
+    visit("scale", r.scale...);
+    visit("rounds", r.rounds...);
+  }
+
   // True when `other` describes the same campaign identity; otherwise `why` gets a
   // human-readable mismatch description.
   bool CompatibleWith(const JournalHeader& other, std::string* why) const;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/report/delay_counts.h"
 #include "src/report/trap_file.h"
 
 namespace tsvd::campaign {
@@ -49,9 +50,26 @@ struct BugObservation {
   bool same_location = false;
   bool async_flavor = false;
   bool false_positive = false;
+
+  // The field list (src/campaign/json.h): wire name and member, once.
+  template <class V, class... R>
+  static void VisitFields(V&& visit, R&... r) {
+    visit("sig_first", r.sig_first...);
+    visit("sig_second", r.sig_second...);
+    visit("api_first", r.api_first...);
+    visit("api_second", r.api_second...);
+    visit("stack_digest", r.stack_digest...);
+    visit("module", r.module...);
+    visit("round", r.round...);
+    visit("read_write", r.read_write...);
+    visit("same_location", r.same_location...);
+    visit("async_flavor", r.async_flavor...);
+    visit("false_positive", r.false_positive...);
+  }
 };
 
-struct RunOutcome {
+// Delay-engine counters (src/core/delay_engine.h) come from the DelayCounts base.
+struct RunOutcome : DelayCounts {
   int module_index = -1;
   std::string module;
   int round = 0;
@@ -78,13 +96,6 @@ struct RunOutcome {
 
   Micros wall_us = 0;
   uint64_t oncall_count = 0;
-  uint64_t delays_injected = 0;
-  // Delay-engine outcomes (src/core/delay_engine.h): trapped threads released the
-  // moment their trap was sprung, delays the progress sentinel cancelled to unstall
-  // the run, and delays skipped by a budget or the overhead cap.
-  uint64_t delays_early_woken = 0;
-  uint64_t delays_aborted_stall = 0;
-  uint64_t delays_skipped_budget = 0;
   // Fail-open firewall: internal runtime faults absorbed during the run, and whether
   // they crossed max_internal_errors so the run finished uninstrumented.
   uint64_t internal_errors = 0;
@@ -98,9 +109,36 @@ struct RunOutcome {
 
   std::vector<BugObservation> observations;
   TrapFile traps;  // canonical surviving-pair export
+
+  // The field list (src/campaign/json.h). status, observations and traps are
+  // encoded by hand (src/sandbox/outcome_codec.cc).
+  template <class V, class... R>
+  static void VisitFields(V&& visit, R&... r) {
+    visit("module_index", r.module_index...);
+    visit("module", r.module...);
+    visit("round", r.round...);
+    visit("attempts", r.attempts...);
+    visit("error", r.error...);
+    visit("attempt_errors", r.attempt_errors...);
+    visit("killed_by_signal", r.killed_by_signal...);
+    visit("crash_signature", r.crash_signature...);
+    visit("degrade_level", r.degrade_level...);
+    visit("quarantined", r.quarantined...);
+    visit("salvaged_trap_pairs", r.salvaged_trap_pairs...);
+    visit("wall_us", r.wall_us...);
+    visit("oncall_count", r.oncall_count...);
+    DelayCounts::VisitFields(visit, r...);
+    visit("internal_errors", r.internal_errors...);
+    visit("runtime_disabled", r.runtime_disabled...);
+    visit("imported_pairs", r.imported_pairs...);
+    visit("retrapped_imported", r.retrapped_imported...);
+    visit("false_positives", r.false_positives...);
+  }
 };
 
-struct RoundStats {
+// Delay-engine counters, summed over the round's runs, come from the DelayCounts
+// base.
+struct RoundStats : DelayCounts {
   int round = 0;
   int runs = 0;
   int crashed = 0;
@@ -115,12 +153,28 @@ struct RoundStats {
   // that completed before the drain, and the round was not committed to the journal
   // (a resumed campaign finishes it).
   bool interrupted = false;
-  uint64_t delays_injected = 0;
-  uint64_t delays_early_woken = 0;
-  uint64_t delays_aborted_stall = 0;
-  uint64_t delays_skipped_budget = 0;
   int runtime_disabled = 0;  // runs that finished with instrumentation self-disabled
   Micros wall_us = 0;  // wall time of the round (parallel, not summed)
+
+  // The field list (src/campaign/json.h): the journal round record and the
+  // campaign JSON rounds array are both this list.
+  template <class V, class... R>
+  static void VisitFields(V&& visit, R&... r) {
+    visit("round", r.round...);
+    visit("runs", r.runs...);
+    visit("crashed", r.crashed...);
+    visit("retried", r.retried...);
+    visit("timed_out", r.timed_out...);
+    visit("killed_by_signal", r.killed_by_signal...);
+    visit("quarantined", r.quarantined...);
+    visit("new_unique_bugs", r.new_unique_bugs...);
+    visit("retrapped_imported", r.retrapped_imported...);
+    visit("trap_pairs_after", r.trap_pairs_after...);
+    visit("interrupted", r.interrupted...);
+    DelayCounts::VisitFields(visit, r...);
+    visit("runtime_disabled", r.runtime_disabled...);
+    visit("wall_us", r.wall_us...);
+  }
 };
 
 }  // namespace tsvd::campaign

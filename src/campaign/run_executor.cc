@@ -68,10 +68,7 @@ RunOutcome ExecuteJob(const RunJob& job, workload::ModuleRunner& runner,
   outcome.degrade_level = job.degrade_level;
   outcome.wall_us = single.run.wall_us;
   outcome.oncall_count = single.run.summary.oncall_count;
-  outcome.delays_injected = single.run.summary.delays_injected;
-  outcome.delays_early_woken = single.run.summary.delays_early_woken;
-  outcome.delays_aborted_stall = single.run.summary.delays_aborted_stall;
-  outcome.delays_skipped_budget = single.run.summary.delays_skipped_budget;
+  static_cast<DelayCounts&>(outcome) = single.run.summary;
   outcome.internal_errors = single.run.summary.internal_errors;
   outcome.runtime_disabled = single.run.summary.runtime_disabled;
   outcome.imported_pairs = single.imported_pairs;

@@ -119,28 +119,12 @@ std::string RenderJson(const CampaignMeta& meta, const std::vector<RoundStats>& 
   }
 
   Json round_array = Json::MakeArray();
-  uint64_t total_delays = 0;
+  DelayCounts total_delays;
+  int total_disabled = 0;
   for (const RoundStats& r : rounds) {
-    Json jr = Json::MakeObject();
-    jr.Set("round", r.round);
-    jr.Set("runs", r.runs);
-    jr.Set("crashed", r.crashed);
-    jr.Set("retried", r.retried);
-    jr.Set("timed_out", r.timed_out);
-    jr.Set("killed_by_signal", r.killed_by_signal);
-    jr.Set("quarantined", r.quarantined);
-    jr.Set("new_unique_bugs", r.new_unique_bugs);
-    jr.Set("retrapped_imported", r.retrapped_imported);
-    jr.Set("trap_pairs_after", r.trap_pairs_after);
-    jr.Set("interrupted", r.interrupted);
-    jr.Set("delays_injected", r.delays_injected);
-    jr.Set("delays_early_woken", r.delays_early_woken);
-    jr.Set("delays_aborted_stall", r.delays_aborted_stall);
-    jr.Set("delays_skipped_budget", r.delays_skipped_budget);
-    jr.Set("runtime_disabled", r.runtime_disabled);
-    jr.Set("wall_us", static_cast<int64_t>(r.wall_us));
-    round_array.Push(std::move(jr));
-    total_delays += r.delays_injected;
+    round_array.Push(EncodeFields(r));
+    total_delays.Add(r);
+    total_disabled += r.runtime_disabled;
   }
   root.Set("rounds", std::move(round_array));
 
@@ -164,22 +148,9 @@ std::string RenderJson(const CampaignMeta& meta, const std::vector<RoundStats>& 
   }
   root.Set("run_failures", std::move(failures));
 
-  uint64_t total_early = 0, total_aborted = 0, total_skipped = 0;
-  int total_disabled = 0;
-  for (const RoundStats& r : rounds) {
-    total_early += r.delays_early_woken;
-    total_aborted += r.delays_aborted_stall;
-    total_skipped += r.delays_skipped_budget;
-    total_disabled += r.runtime_disabled;
-  }
-
-  Json totals = Json::MakeObject();
+  Json totals = EncodeFields(total_delays);
   totals.Set("unique_bugs", bugs.size());
   totals.Set("distinct_stack_pairs", manifestations);
-  totals.Set("delays_injected", total_delays);
-  totals.Set("delays_early_woken", total_early);
-  totals.Set("delays_aborted_stall", total_aborted);
-  totals.Set("delays_skipped_budget", total_skipped);
   totals.Set("runtime_disabled", total_disabled);
   totals.Set("salvaged_trap_pairs", salvaged);
   root.Set("totals", std::move(totals));

@@ -20,6 +20,17 @@ inline uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
+// True with `probability`, decided by one draw (its top 53 bits as a uniform double
+// in [0, 1)). A probability <= 0 is false whatever the draw; the fault schedules
+// draw anyway, so the position of every later decision in their stream does not
+// depend on which faults the spec enables.
+inline bool FlipDraw(uint64_t draw, double probability) {
+  if (probability <= 0.0) {
+    return false;
+  }
+  return static_cast<double>(draw >> 11) * 0x1.0p-53 < probability;
+}
+
 // A SplitMix64 stream. Not thread-safe; use one instance per thread or guard
 // externally.
 class Rng {

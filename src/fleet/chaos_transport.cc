@@ -1,122 +1,64 @@
 #include "src/fleet/chaos_transport.h"
 
-#include <cstdlib>
 #include <utility>
 
 #include "src/common/clock.h"
+#include "src/common/kv_spec.h"
 #include "src/common/rng.h"
 
 namespace tsvd::fleet {
 
-namespace {
-
 using campaign::Json;
-
-bool ParseProbability(const std::string& value, double* out) {
-  char* end = nullptr;
-  const double p = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || p < 0.0 || p > 1.0) {
-    return false;
-  }
-  *out = p;
-  return true;
-}
-
-bool ParseNonNegative(const std::string& value, int64_t* out) {
-  char* end = nullptr;
-  const long long n = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0' || n < 0) {
-    return false;
-  }
-  *out = n;
-  return true;
-}
-
-}  // namespace
 
 bool ChaosSpec::Parse(const std::string& text, ChaosSpec* out,
                       std::string* error) {
   *out = ChaosSpec();
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = text.size();
-    }
-    const std::string item = text.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (item.empty()) {
-      continue;
-    }
-    const size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      *error = "chaos spec item \"" + item + "\" is not key=value";
-      return false;
-    }
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    int64_t n = 0;
-    if (key == "seed") {
-      if (!ParseNonNegative(value, &n)) {
-        *error = "chaos spec: seed must be a non-negative integer, got \"" +
-                 value + "\"";
-        return false;
-      }
-      out->seed = static_cast<uint64_t>(n);
-    } else if (key == "drop_send" || key == "drop_recv" || key == "dup" ||
-               key == "trunc") {
-      double p = 0;
-      if (!ParseProbability(value, &p)) {
-        *error = "chaos spec: " + key + " must be a probability in [0, 1], got \"" +
-                 value + "\"";
-        return false;
-      }
-      (key == "drop_send"   ? out->drop_send
-       : key == "drop_recv" ? out->drop_recv
-       : key == "dup"       ? out->dup
-                            : out->trunc) = p;
-    } else if (key == "delay_ms") {
-      if (!ParseNonNegative(value, &n)) {
-        *error = "chaos spec: delay_ms must be a non-negative integer";
-        return false;
-      }
-      out->delay_ms = static_cast<int>(n);
-    } else if (key == "partition_after_ms") {
-      if (!ParseNonNegative(value, &n)) {
-        *error = "chaos spec: partition_after_ms must be a non-negative integer";
-        return false;
-      }
-      out->partition_after_ms = n;
-    } else if (key == "partition_ms") {
-      if (!ParseNonNegative(value, &n)) {
-        *error = "chaos spec: partition_ms must be a non-negative integer";
-        return false;
-      }
-      out->partition_ms = n;
-    } else if (key == "partition_every_ms") {
-      if (!ParseNonNegative(value, &n)) {
-        *error = "chaos spec: partition_every_ms must be a non-negative integer";
-        return false;
-      }
-      out->partition_every_ms = n;
-    } else if (key == "partition_dir") {
-      if (value == "send") {
-        out->partition_dir = PartitionDir::kSend;
-      } else if (value == "recv") {
-        out->partition_dir = PartitionDir::kRecv;
-      } else if (value == "both") {
-        out->partition_dir = PartitionDir::kBoth;
-      } else {
-        *error = "chaos spec: partition_dir must be send|recv|both, got \"" +
-                 value + "\"";
-        return false;
-      }
-    } else {
-      *error = "chaos spec: unknown key \"" + key + "\"";
-      return false;
-    }
-  }
-  return true;
+  return ParseKeyValueSpec(
+      text, "chaos spec", error,
+      [out](const std::string& key, const std::string& value) -> std::string {
+        int64_t n = 0;
+        if (key == "seed") {
+          if (!ParseNonNegative(value, &n)) {
+            return "seed must be a non-negative integer, got \"" + value + "\"";
+          }
+          out->seed = static_cast<uint64_t>(n);
+        } else if (key == "drop_send" || key == "drop_recv" || key == "dup" ||
+                   key == "trunc") {
+          double p = 0;
+          if (!ParseProbability(value, &p)) {
+            return key + " must be a probability in [0, 1], got \"" + value + "\"";
+          }
+          (key == "drop_send"   ? out->drop_send
+           : key == "drop_recv" ? out->drop_recv
+           : key == "dup"       ? out->dup
+                                : out->trunc) = p;
+        } else if (key == "delay_ms" || key == "partition_after_ms" ||
+                   key == "partition_ms" || key == "partition_every_ms") {
+          if (!ParseNonNegative(value, &n)) {
+            return key + " must be a non-negative integer";
+          }
+          if (key == "delay_ms") {
+            out->delay_ms = static_cast<int>(n);
+          } else {
+            (key == "partition_after_ms" ? out->partition_after_ms
+             : key == "partition_ms"     ? out->partition_ms
+                                         : out->partition_every_ms) = n;
+          }
+        } else if (key == "partition_dir") {
+          if (value == "send") {
+            out->partition_dir = PartitionDir::kSend;
+          } else if (value == "recv") {
+            out->partition_dir = PartitionDir::kRecv;
+          } else if (value == "both") {
+            out->partition_dir = PartitionDir::kBoth;
+          } else {
+            return "partition_dir must be send|recv|both, got \"" + value + "\"";
+          }
+        } else {
+          return "unknown key \"" + key + "\"";
+        }
+        return "";
+      });
 }
 
 ChaosClient::ChaosClient(std::unique_ptr<TransportClient> inner, ChaosSpec spec,
@@ -132,14 +74,6 @@ void ChaosClient::set_connect_timeout_ms(int ms) {
 ChaosStats ChaosClient::stats() const { return stats_; }
 
 uint64_t ChaosClient::NextRandom() { return SplitMix64(&rng_state_); }
-
-bool ChaosClient::Flip(double probability) {
-  if (probability <= 0.0) {
-    NextRandom();  // keep the draw sequence fixed regardless of the spec
-    return false;
-  }
-  return static_cast<double>(NextRandom() >> 11) * 0x1.0p-53 < probability;
-}
 
 bool ChaosClient::InPartition(PartitionDir direction) const {
   if (spec_.partition_after_ms < 0 || spec_.partition_ms <= 0) {
@@ -170,11 +104,11 @@ bool ChaosClient::Call(const Json& request, Json* response, std::string* error) 
   // pure function of (seed, call index) — outcomes of earlier faults cannot
   // shift later draws.
   const uint64_t send_delay_draw = NextRandom();
-  const bool truncate = Flip(spec_.trunc);
-  const bool drop_send = Flip(spec_.drop_send);
-  const bool duplicate = Flip(spec_.dup);
+  const bool truncate = FlipDraw(NextRandom(), spec_.trunc);
+  const bool drop_send = FlipDraw(NextRandom(), spec_.drop_send);
+  const bool duplicate = FlipDraw(NextRandom(), spec_.dup);
   const uint64_t recv_delay_draw = NextRandom();
-  const bool drop_recv = Flip(spec_.drop_recv);
+  const bool drop_recv = FlipDraw(NextRandom(), spec_.drop_recv);
 
   if (spec_.delay_ms > 0) {
     ++stats_.delayed;

@@ -101,7 +101,6 @@ class ChaosClient : public TransportClient {
  private:
   bool InPartition(PartitionDir direction) const;
   uint64_t NextRandom();
-  bool Flip(double probability);
 
   const std::unique_ptr<TransportClient> inner_;
   const ChaosSpec spec_;

@@ -6,91 +6,8 @@ using campaign::CampaignOptions;
 using campaign::Json;
 
 Json EncodeCampaignOptions(const CampaignOptions& options) {
-  Json j = Json::MakeObject();
-  j.Set("detector", options.detector);
-  j.Set("num_modules", options.num_modules);
-  j.Set("rounds", options.rounds);
-  j.Set("stop_when_converged", options.stop_when_converged);
-  j.Set("max_attempts", options.max_attempts);
-  j.Set("scale", options.scale);
-  j.Set("seed", options.seed);
-  j.Set("buggy_module_fraction", options.buggy_module_fraction);
-  j.Set("pool_threads_per_worker", options.pool_threads_per_worker);
-  j.Set("sandbox_enabled", options.sandbox.enabled);
-  j.Set("run_timeout_ms", options.sandbox.run_timeout_ms);
-  j.Set("backoff_base_ms", options.sandbox.backoff_base_ms);
-  j.Set("backoff_cap_ms", options.sandbox.backoff_cap_ms);
-  j.Set("degrade_delay_factor", options.sandbox.degrade_delay_factor);
-  j.Set("degrade_budget_factor", options.sandbox.degrade_budget_factor);
-  j.Set("initial_budget_delays", options.sandbox.initial_budget_delays);
-  j.Set("min_delay_us", static_cast<int64_t>(options.sandbox.min_delay_us));
-  j.Set("fault_crash_modules", options.fault_crash_modules);
-  j.Set("fault_hang_modules", options.fault_hang_modules);
-  j.Set("fault_throw_modules", options.fault_throw_modules);
-  j.Set("fault_deadlock_modules", options.fault_deadlock_modules);
-  j.Set("delay_us_override", static_cast<int64_t>(options.delay_us_override));
-  j.Set("stall_grace_us", static_cast<int64_t>(options.stall_grace_us));
-  j.Set("max_overhead_pct", options.max_overhead_pct);
-  j.Set("max_internal_errors", options.max_internal_errors);
-  return j;
+  return campaign::EncodeFields(options);
 }
-
-namespace {
-
-bool ReadInt(const Json& doc, const char* key, int64_t* out, std::string* error) {
-  const Json* v = doc.Find(key);
-  if (v == nullptr) {
-    return true;
-  }
-  if (!v->is_number()) {
-    *error = std::string("campaign option \"") + key + "\" is not a number";
-    return false;
-  }
-  *out = v->as_int();
-  return true;
-}
-
-bool ReadDouble(const Json& doc, const char* key, double* out, std::string* error) {
-  const Json* v = doc.Find(key);
-  if (v == nullptr) {
-    return true;
-  }
-  if (!v->is_number()) {
-    *error = std::string("campaign option \"") + key + "\" is not a number";
-    return false;
-  }
-  *out = v->as_double();
-  return true;
-}
-
-bool ReadBool(const Json& doc, const char* key, bool* out, std::string* error) {
-  const Json* v = doc.Find(key);
-  if (v == nullptr) {
-    return true;
-  }
-  if (!v->is_bool()) {
-    *error = std::string("campaign option \"") + key + "\" is not a bool";
-    return false;
-  }
-  *out = v->as_bool();
-  return true;
-}
-
-bool ReadString(const Json& doc, const char* key, std::string* out,
-                std::string* error) {
-  const Json* v = doc.Find(key);
-  if (v == nullptr) {
-    return true;
-  }
-  if (!v->is_string()) {
-    *error = std::string("campaign option \"") + key + "\" is not a string";
-    return false;
-  }
-  *out = v->as_string();
-  return true;
-}
-
-}  // namespace
 
 bool DecodeCampaignOptions(const Json& doc, CampaignOptions* options,
                            std::string* error) {
@@ -99,65 +16,10 @@ bool DecodeCampaignOptions(const Json& doc, CampaignOptions* options,
     return false;
   }
   CampaignOptions o;
-  int64_t num_modules = o.num_modules, rounds = o.rounds,
-          max_attempts = o.max_attempts, pool_threads = o.pool_threads_per_worker,
-          seed = static_cast<int64_t>(o.seed),
-          run_timeout_ms = o.sandbox.run_timeout_ms,
-          backoff_base_ms = o.sandbox.backoff_base_ms,
-          backoff_cap_ms = o.sandbox.backoff_cap_ms,
-          initial_budget = o.sandbox.initial_budget_delays,
-          min_delay_us = o.sandbox.min_delay_us,
-          fault_crash = o.fault_crash_modules, fault_hang = o.fault_hang_modules,
-          fault_throw = o.fault_throw_modules,
-          fault_deadlock = o.fault_deadlock_modules,
-          delay_us_override = o.delay_us_override, stall_grace = o.stall_grace_us,
-          max_internal = o.max_internal_errors;
-  if (!ReadString(doc, "detector", &o.detector, error) ||
-      !ReadInt(doc, "num_modules", &num_modules, error) ||
-      !ReadInt(doc, "rounds", &rounds, error) ||
-      !ReadBool(doc, "stop_when_converged", &o.stop_when_converged, error) ||
-      !ReadInt(doc, "max_attempts", &max_attempts, error) ||
-      !ReadDouble(doc, "scale", &o.scale, error) ||
-      !ReadInt(doc, "seed", &seed, error) ||
-      !ReadDouble(doc, "buggy_module_fraction", &o.buggy_module_fraction, error) ||
-      !ReadInt(doc, "pool_threads_per_worker", &pool_threads, error) ||
-      !ReadBool(doc, "sandbox_enabled", &o.sandbox.enabled, error) ||
-      !ReadInt(doc, "run_timeout_ms", &run_timeout_ms, error) ||
-      !ReadInt(doc, "backoff_base_ms", &backoff_base_ms, error) ||
-      !ReadInt(doc, "backoff_cap_ms", &backoff_cap_ms, error) ||
-      !ReadDouble(doc, "degrade_delay_factor", &o.sandbox.degrade_delay_factor,
-                  error) ||
-      !ReadDouble(doc, "degrade_budget_factor", &o.sandbox.degrade_budget_factor,
-                  error) ||
-      !ReadInt(doc, "initial_budget_delays", &initial_budget, error) ||
-      !ReadInt(doc, "min_delay_us", &min_delay_us, error) ||
-      !ReadInt(doc, "fault_crash_modules", &fault_crash, error) ||
-      !ReadInt(doc, "fault_hang_modules", &fault_hang, error) ||
-      !ReadInt(doc, "fault_throw_modules", &fault_throw, error) ||
-      !ReadInt(doc, "fault_deadlock_modules", &fault_deadlock, error) ||
-      !ReadInt(doc, "delay_us_override", &delay_us_override, error) ||
-      !ReadInt(doc, "stall_grace_us", &stall_grace, error) ||
-      !ReadDouble(doc, "max_overhead_pct", &o.max_overhead_pct, error) ||
-      !ReadInt(doc, "max_internal_errors", &max_internal, error)) {
+  if (!campaign::DecodeFields(doc, &o, error)) {
+    *error = "campaign option " + *error;
     return false;
   }
-  o.num_modules = static_cast<int>(num_modules);
-  o.rounds = static_cast<int>(rounds);
-  o.max_attempts = static_cast<int>(max_attempts);
-  o.pool_threads_per_worker = static_cast<int>(pool_threads);
-  o.seed = static_cast<uint64_t>(seed);
-  o.sandbox.run_timeout_ms = static_cast<int>(run_timeout_ms);
-  o.sandbox.backoff_base_ms = static_cast<int>(backoff_base_ms);
-  o.sandbox.backoff_cap_ms = static_cast<int>(backoff_cap_ms);
-  o.sandbox.initial_budget_delays = static_cast<int>(initial_budget);
-  o.sandbox.min_delay_us = min_delay_us;
-  o.fault_crash_modules = static_cast<int>(fault_crash);
-  o.fault_hang_modules = static_cast<int>(fault_hang);
-  o.fault_throw_modules = static_cast<int>(fault_throw);
-  o.fault_deadlock_modules = static_cast<int>(fault_deadlock);
-  o.delay_us_override = delay_us_override;
-  o.stall_grace_us = stall_grace;
-  o.max_internal_errors = static_cast<int>(max_internal);
   *options = std::move(o);
   return true;
 }

@@ -1,44 +1,17 @@
 #include "src/io/chaos_fs.h"
 
 #include <cerrno>
-#include <cstdlib>
 
 #ifndef _WIN32
 #include <csignal>
 #include <unistd.h>
 #endif
 
+#include "src/common/kv_spec.h"
 #include "src/common/rng.h"
 
 namespace tsvd::io {
 namespace {
-
-bool FlipDraw(uint64_t draw, double probability) {
-  if (probability <= 0.0) {
-    return false;
-  }
-  return static_cast<double>(draw >> 11) * 0x1.0p-53 < probability;
-}
-
-bool ParseProbability(const std::string& value, double* out) {
-  char* end = nullptr;
-  const double p = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || p < 0.0 || p > 1.0) {
-    return false;
-  }
-  *out = p;
-  return true;
-}
-
-bool ParseNonNegative(const std::string& value, int64_t* out) {
-  char* end = nullptr;
-  const long long n = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0' || n < 0) {
-    return false;
-  }
-  *out = n;
-  return true;
-}
 
 // Handles carry their Open's path-filter verdict so per-handle operations
 // (Write, Fsync, Close) fault only on files the filter selected.
@@ -60,61 +33,40 @@ class ChaosFile : public VfsFile {
 bool ChaosFsSpec::Parse(const std::string& text, ChaosFsSpec* out,
                         std::string* error) {
   *out = ChaosFsSpec();
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = text.size();
-    }
-    const std::string item = text.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (item.empty()) {
-      continue;
-    }
-    const size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      *error = "io chaos spec item \"" + item + "\" is not key=value";
-      return false;
-    }
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    int64_t n = 0;
-    if (key == "seed") {
-      if (!ParseNonNegative(value, &n)) {
-        *error = "io chaos spec: seed must be a non-negative integer, got \"" +
-                 value + "\"";
-        return false;
-      }
-      out->seed = static_cast<uint64_t>(n);
-    } else if (key == "enospc" || key == "eio" || key == "short_write" ||
-               key == "fsync_fail" || key == "rename_fail") {
-      double p = 0;
-      if (!ParseProbability(value, &p)) {
-        *error = "io chaos spec: " + key +
-                 " must be a probability in [0, 1], got \"" + value + "\"";
-        return false;
-      }
-      (key == "enospc"        ? out->enospc
-       : key == "eio"         ? out->eio
-       : key == "short_write" ? out->short_write
-       : key == "fsync_fail"  ? out->fsync_fail
-                              : out->rename_fail) = p;
-    } else if (key == "after" || key == "max_faults" || key == "crash_at") {
-      if (!ParseNonNegative(value, &n)) {
-        *error = "io chaos spec: " + key + " must be a non-negative integer";
-        return false;
-      }
-      (key == "after"        ? out->after
-       : key == "max_faults" ? out->max_faults
-                             : out->crash_at) = n;
-    } else if (key == "path") {
-      out->path_substr = value;
-    } else {
-      *error = "io chaos spec: unknown key \"" + key + "\"";
-      return false;
-    }
-  }
-  return true;
+  return ParseKeyValueSpec(
+      text, "io chaos spec", error,
+      [out](const std::string& key, const std::string& value) -> std::string {
+        int64_t n = 0;
+        if (key == "seed") {
+          if (!ParseNonNegative(value, &n)) {
+            return "seed must be a non-negative integer, got \"" + value + "\"";
+          }
+          out->seed = static_cast<uint64_t>(n);
+        } else if (key == "enospc" || key == "eio" || key == "short_write" ||
+                   key == "fsync_fail" || key == "rename_fail") {
+          double p = 0;
+          if (!ParseProbability(value, &p)) {
+            return key + " must be a probability in [0, 1], got \"" + value + "\"";
+          }
+          (key == "enospc"        ? out->enospc
+           : key == "eio"         ? out->eio
+           : key == "short_write" ? out->short_write
+           : key == "fsync_fail"  ? out->fsync_fail
+                                  : out->rename_fail) = p;
+        } else if (key == "after" || key == "max_faults" || key == "crash_at") {
+          if (!ParseNonNegative(value, &n)) {
+            return key + " must be a non-negative integer";
+          }
+          (key == "after"        ? out->after
+           : key == "max_faults" ? out->max_faults
+                                 : out->crash_at) = n;
+        } else if (key == "path") {
+          out->path_substr = value;
+        } else {
+          return "unknown key \"" + key + "\"";
+        }
+        return "";
+      });
 }
 
 std::vector<std::pair<std::string, uint64_t>> ChaosFsStats::Classes() const {

@@ -7,10 +7,12 @@
 #include <vector>
 
 #include "src/report/bug_report.h"
+#include "src/report/delay_counts.h"
 
 namespace tsvd {
 
-struct RunSummary {
+// The delay-engine counters come from the DelayCounts base.
+struct RunSummary : DelayCounts {
   // Every violation caught, including repeated manifestations of the same location pair
   // (the paper reports 18.5 stack-trace pairs per unique bug on average).
   std::vector<BugReport> reports;
@@ -18,7 +20,6 @@ struct RunSummary {
   std::unordered_set<LocationPair, LocationPairHash> unique_pairs;
 
   uint64_t oncall_count = 0;
-  uint64_t delays_injected = 0;
   Micros total_delay_us = 0;
   uint64_t sync_events = 0;
   Micros wall_time_us = 0;
@@ -26,12 +27,6 @@ struct RunSummary {
   // Dangerous pairs known at run end (persisted into the trap file for the next run).
   uint64_t trap_set_size = 0;
 
-  // Delay-engine outcomes: delays released the moment their trap was sprung, delays
-  // cancelled by the progress sentinel, and delays never injected because a budget
-  // or the overhead cap said no.
-  uint64_t delays_early_woken = 0;
-  uint64_t delays_aborted_stall = 0;
-  uint64_t delays_skipped_budget = 0;
   // Tail sleep avoided by catch wakes (requested minus actually slept).
   Micros early_wake_saved_us = 0;
 
@@ -43,15 +38,12 @@ struct RunSummary {
   void Merge(const RunSummary& other) {
     reports.insert(reports.end(), other.reports.begin(), other.reports.end());
     unique_pairs.insert(other.unique_pairs.begin(), other.unique_pairs.end());
+    DelayCounts::Add(other);
     oncall_count += other.oncall_count;
-    delays_injected += other.delays_injected;
     total_delay_us += other.total_delay_us;
     sync_events += other.sync_events;
     wall_time_us += other.wall_time_us;
     trap_set_size += other.trap_set_size;
-    delays_early_woken += other.delays_early_woken;
-    delays_aborted_stall += other.delays_aborted_stall;
-    delays_skipped_budget += other.delays_skipped_budget;
     early_wake_saved_us += other.early_wake_saved_us;
     internal_errors += other.internal_errors;
     runtime_disabled = runtime_disabled || other.runtime_disabled;

@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/campaign/json.h"
@@ -90,6 +91,27 @@ TEST(ChaosSpecTest, RejectsMalformedSpecs) {
     std::string error;
     EXPECT_FALSE(ChaosSpec::Parse(text, &spec, &error)) << text;
     EXPECT_FALSE(error.empty()) << text;
+  }
+}
+
+TEST(ChaosSpecTest, ErrorMessagesArePinned) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"drop_send", "chaos spec item \"drop_send\" is not key=value"},
+      {"drop_send=1.5",
+       "chaos spec: drop_send must be a probability in [0, 1], got \"1.5\""},
+      {"seed=-3", "chaos spec: seed must be a non-negative integer, got \"-3\""},
+      {"delay_ms=soon", "chaos spec: delay_ms must be a non-negative integer"},
+      {"partition_every_ms=-1",
+       "chaos spec: partition_every_ms must be a non-negative integer"},
+      {"partition_dir=north",
+       "chaos spec: partition_dir must be send|recv|both, got \"north\""},
+      {"dup=0.5,,gremlins=0.9", "chaos spec: unknown key \"gremlins\""},
+  };
+  for (const auto& [text, message] : cases) {
+    ChaosSpec spec;
+    std::string error;
+    EXPECT_FALSE(ChaosSpec::Parse(text, &spec, &error)) << text;
+    EXPECT_EQ(error, message);
   }
 }
 
@@ -209,6 +231,18 @@ TEST(ChaosClientTest, SameSeedReplaysTheIdenticalFaultSchedule) {
   const Schedule b = RunSchedule(/*seed=*/42, /*salt=*/0, /*calls=*/200);
   EXPECT_EQ(a.outcomes, b.outcomes);
   EXPECT_EQ(a.deliveries, b.deliveries);
+}
+
+TEST(ChaosClientTest, FaultScheduleIsPinned) {
+  // Captured from the schedule before the flip moved into src/common/rng.h. The
+  // spec leaves trunc at 0, so this also pins the draw a disabled fault spends.
+  const Schedule schedule = RunSchedule(/*seed=*/42, /*salt=*/0, /*calls=*/64);
+  std::string outcomes;
+  for (const bool ok : schedule.outcomes) {
+    outcomes += ok ? '1' : '0';
+  }
+  EXPECT_EQ(outcomes, "0111110010111010010000111111110111000000100101110010010011110010");
+  EXPECT_EQ(schedule.deliveries, 61);
 }
 
 TEST(ChaosClientTest, DifferentSaltsDrawFromDistinctStreams) {

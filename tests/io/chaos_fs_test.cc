@@ -11,6 +11,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #ifndef _WIN32
@@ -95,6 +96,23 @@ TEST(ChaosFsSpecTest, MalformedSpecsReportWhatBroke) {
   EXPECT_NE(error.find("seed"), std::string::npos) << error;
   EXPECT_FALSE(ChaosFsSpec::Parse("warp_drive=1", &spec, &error));
   EXPECT_NE(error.find("unknown key"), std::string::npos) << error;
+}
+
+TEST(ChaosFsSpecTest, ErrorMessagesArePinned) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"enospc", "io chaos spec item \"enospc\" is not key=value"},
+      {"eio=banana",
+       "io chaos spec: eio must be a probability in [0, 1], got \"banana\""},
+      {"seed=x", "io chaos spec: seed must be a non-negative integer, got \"x\""},
+      {"crash_at=-1", "io chaos spec: crash_at must be a non-negative integer"},
+      {"path=journal,,warp_drive=1", "io chaos spec: unknown key \"warp_drive\""},
+  };
+  for (const auto& [text, message] : cases) {
+    ChaosFsSpec spec;
+    std::string error;
+    EXPECT_FALSE(ChaosFsSpec::Parse(text, &spec, &error)) << text;
+    EXPECT_EQ(error, message);
+  }
 }
 
 // Runs a fixed op sequence (one exempt open + `writes` one-byte writes) and

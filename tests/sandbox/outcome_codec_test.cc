@@ -2,6 +2,7 @@
 // strict rejection of non-outcome documents, and stable status names.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "src/campaign/json.h"
@@ -199,6 +200,48 @@ TEST(OutcomeCodecTest, StatusNamesRoundTrip) {
   }
   campaign::RunStatus unused;
   EXPECT_FALSE(RunStatusFromName("exploded", &unused));
+}
+
+TEST(OutcomeCodecTest, IntegerFieldsOutOfRangeAreRejectedNotTruncated) {
+  campaign::RunOutcome decoded;
+  std::string error;
+  for (const char* text :
+       {R"({"module_index":4294967297})", R"({"round":-2147483649})",
+        R"({"wall_us":1e300})", R"({"oncall_count":-1e300})",
+        R"({"observations":[{"round":4294967297}]})",
+        R"({"observations":[{"stack_digest":1e300}]})", R"({"attempts":1.5})",
+        R"({"codec_version":1e300})"}) {
+    campaign::Json doc;
+    ASSERT_TRUE(campaign::Json::Parse(text, &doc)) << text;
+    EXPECT_FALSE(DecodeRunOutcome(doc, &decoded, &error)) << text;
+  }
+  campaign::Json doc;
+  ASSERT_TRUE(campaign::Json::Parse(R"({"module_index":4294967297})", &doc));
+  ASSERT_FALSE(DecodeRunOutcome(doc, &decoded, &error));
+  EXPECT_NE(error.find("module_index"), std::string::npos) << error;
+}
+
+TEST(OutcomeCodecTest, IntegralDoublesAndFullWidthCountersDecode) {
+  campaign::Json doc;
+  ASSERT_TRUE(campaign::Json::Parse(
+      R"({"codec_version":2.0,"module_index":7.0,"wall_us":1e15,"oncall_count":-1})",
+      &doc));
+  campaign::RunOutcome decoded;
+  std::string error;
+  ASSERT_TRUE(DecodeRunOutcome(doc, &decoded, &error)) << error;
+  EXPECT_EQ(decoded.module_index, 7);
+  EXPECT_EQ(decoded.wall_us, 1000000000000000);
+  EXPECT_EQ(decoded.oncall_count, ~uint64_t{0});  // written two's-complement
+
+  campaign::RunOutcome wide;
+  wide.salvaged_trap_pairs = ~uint64_t{0};
+  wide.observations.emplace_back();
+  wide.observations[0].stack_digest = 0x8000000000000000ULL;
+  const std::string text = EncodeRunOutcome(wide).Dump();
+  ASSERT_TRUE(campaign::Json::Parse(text, &doc));
+  ASSERT_TRUE(DecodeRunOutcome(doc, &decoded, &error)) << error;
+  EXPECT_EQ(decoded.salvaged_trap_pairs, ~uint64_t{0});
+  EXPECT_EQ(decoded.observations[0].stack_digest, 0x8000000000000000ULL);
 }
 
 }  // namespace

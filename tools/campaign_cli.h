@@ -100,7 +100,7 @@ inline int ReportCampaign(const char* tool, const campaign::CampaignResult& resu
   std::printf(
       "\n round  runs  crash  t/out  signal  retry  quar  new-bugs  retrapped  "
       "traps  skipped  wall\n");
-  unsigned long long early = 0, aborted = 0, skipped = 0;
+  DelayCounts delays;
   int disabled = 0;
   for (const campaign::RoundStats& stats : result.rounds) {
     std::printf(" %5d %5d %6d %6d %7d %6d %5d %9llu %10llu %6zu %8llu  %.2fs\n",
@@ -111,9 +111,7 @@ inline int ReportCampaign(const char* tool, const campaign::CampaignResult& resu
                 stats.trap_pairs_after,
                 static_cast<unsigned long long>(stats.delays_skipped_budget),
                 static_cast<double>(stats.wall_us) / 1e6);
-    early += stats.delays_early_woken;
-    aborted += stats.delays_aborted_stall;
-    skipped += stats.delays_skipped_budget;
+    delays.Add(stats);
     disabled += stats.runtime_disabled;
   }
   if (result.converged) {
@@ -127,11 +125,14 @@ inline int ReportCampaign(const char* tool, const campaign::CampaignResult& resu
   if (extra) {
     extra();
   }
-  if (early + aborted + skipped > 0 || disabled > 0) {
+  if (delays.delays_early_woken + delays.delays_aborted_stall +
+          delays.delays_skipped_budget + disabled > 0) {
     std::printf(
         "delay engine: %llu early-woken, %llu aborted by sentinel, "
         "%llu skipped by budget, %d run(s) fail-open disabled\n",
-        early, aborted, skipped, disabled);
+        static_cast<unsigned long long>(delays.delays_early_woken),
+        static_cast<unsigned long long>(delays.delays_aborted_stall),
+        static_cast<unsigned long long>(delays.delays_skipped_budget), disabled);
   }
 
   int printed = 0;
