@@ -13,10 +13,6 @@ namespace {
 constexpr size_t kInitialIndexSlots = 64;
 // Blocks allocated per pool chunk.
 constexpr size_t kChunkBlocks = 32;
-// Sweeps run once at least this many objects (and at least as many as the last
-// sweep kept) were inserted since the last one, so their O(live) cost stays
-// amortized O(1) per new object.
-constexpr size_t kMinInsertsPerSweep = 4096;
 
 }  // namespace
 
@@ -68,17 +64,47 @@ void NearMissTracker::Place(Index& index, ObjectId obj, Block* block) {
   index.slots[i].block.store(block, std::memory_order_release);
 }
 
+NearMissTracker::Block* NearMissTracker::Resolve(uint32_t number) {
+  const size_t b = number - 1;
+  const std::atomic<Line*>* chunk = chunk_table_.Peek(b / kChunkBlocks);
+  // Acquire pairs with the release that published the chunk's constructed blocks.
+  Line* lines = chunk == nullptr ? nullptr : chunk->load(std::memory_order_acquire);
+  if (lines == nullptr) {
+    return nullptr;
+  }
+  return std::launder(
+      reinterpret_cast<Block*>(&lines[(b % kChunkBlocks) * block_lines_]));
+}
+
+NearMissTracker::Block* NearMissTracker::LockIfOwner(Block* block, ObjectId obj) {
+  if (block == nullptr) {
+    return nullptr;
+  }
+  block->Lock();
+  if (!block->Owns(obj)) {
+    block->Unlock();  // swept and reused since the handle or index entry was written
+    return nullptr;
+  }
+  return block;
+}
+
 void NearMissTracker::RecordAndFindConflicts(const Access& access, ConflictBuffer& out) {
-  Block* block = Find(*index_.load(std::memory_order_acquire), access.obj);
-  if (block != nullptr) {
-    block->Lock();
-    if (!block->Owns(access.obj)) {
-      block->Unlock();  // swept and reused since the index entry was read
-      block = nullptr;
-    }
+  // The object's handle names its block without an index probe. A first access,
+  // a caller without a handle and a stale handle fall back to the index, then to
+  // the locked path.
+  const uint32_t number =
+      access.handle != nullptr ? access.handle->load(std::memory_order_relaxed) : 0;
+  Block* block = number != 0 ? LockIfOwner(Resolve(number), access.obj) : nullptr;
+  if (block == nullptr) {
+    block = LockIfOwner(Find(*index_.load(std::memory_order_acquire), access.obj),
+                        access.obj);
   }
   if (block == nullptr) {
     block = AcquireLocked(access);
+  }
+  // Rewritten only on a change, so repeat accesses leave the object's line clean.
+  if (access.handle != nullptr && block->number != number) {
+    access.handle->store(block->number, std::memory_order_relaxed);
   }
 
   const bool write = access.kind == OpKind::kWrite;
@@ -161,12 +187,20 @@ NearMissTracker::Block* NearMissTracker::NewBlock(const Access& access) {
   const size_t pool = access.tid & (kPools - 1);
   std::vector<Block*>& free = free_[pool];
   if (free.empty()) {
+    const size_t chunk = chunks_.size();
     chunks_.push_back(std::make_unique<Line[]>(kChunkBlocks * block_lines_));
     Line* lines = chunks_.back().get();
+    std::atomic<Line*>* published = chunk_table_.Find(chunk);
     for (size_t b = kChunkBlocks; b-- > 0;) {
       Block* block = ::new (static_cast<void*>(&lines[b * block_lines_])) Block;
       block->pool = static_cast<uint8_t>(pool);
+      if (published != nullptr) {
+        block->number = static_cast<uint32_t>(chunk * kChunkBlocks + b + 1);
+      }
       free.push_back(block);
+    }
+    if (published != nullptr) {
+      published->store(lines, std::memory_order_release);
     }
   }
   Block* block = free.back();

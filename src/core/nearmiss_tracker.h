@@ -22,6 +22,18 @@
 //     reader locks it and checks that it still belongs to its object. If it does
 //     not (the block was swept and reused), the reader retries on the locked path,
 //     whose lookup under the tracker mutex is authoritative.
+//   * Every block is numbered when its chunk is carved, and each chunk's base is
+//     published in a lock-free chunk table. An access that carries its object's
+//     NearMissHandle (access.h) resolves the handle's number to a block without
+//     probing the index, then locks it and runs the same ownership check; the
+//     handle is rewritten whenever the object's block number changes. The paper
+//     indexes by hash code because a binary rewriter cannot add a field to a .NET
+//     object; our containers own their objects and carry the handle.
+//
+// The handle holds a number, not a Block*: a handle outlives the tracker that wrote
+// it (a container used under one Runtime and then another), and a number resolves
+// either to nothing or to a live block of the current tracker, which the ownership
+// check then accepts or refuses. It can never dangle and needs no generation count.
 //
 // After an object's first access, recording plus the conflict scan performs no heap
 // allocation, and conflicts are reported through a caller-supplied FixedVector.
@@ -37,6 +49,7 @@
 #include "src/common/config.h"
 #include "src/common/fixed_vector.h"
 #include "src/common/padded.h"
+#include "src/common/paged_table.h"
 #include "src/core/access.h"
 
 namespace tsvd {
@@ -70,6 +83,11 @@ class NearMissTracker {
   // Number of objects currently tracked (diagnostics / memory accounting).
   size_t TrackedObjects() const;
 
+  // Sweeps run once at least this many objects (and at least as many as the last
+  // sweep kept) were inserted since the last one, so their O(live) cost stays
+  // amortized O(1) per new object.
+  static constexpr size_t kMinInsertsPerSweep = 4096;
+
  private:
   struct Record {
     Micros time;
@@ -83,6 +101,9 @@ class NearMissTracker {
   // ring slot i (history_ <= 64), which keeps a record at 16 bytes. `run_tid`
   // wrote the ring's newest min(run_len, count) records (`run_len` saturates at the
   // history length): once run_len >= count, the ring holds only its accesses.
+  // `number` is what a NearMissHandle holds for this block, fixed when its chunk is
+  // carved (0 for a chunk past the chunk table, whose blocks are reached only
+  // through the index).
   struct Block {
     std::atomic<bool> locked{false};
     bool live = false;  // false while the block sits in the free pool
@@ -91,6 +112,7 @@ class NearMissTracker {
     uint8_t pool = 0;  // free list the block returns to
     uint8_t run_len = 0;
     ThreadId run_tid = 0;
+    uint32_t number = 0;
     ObjectId owner = 0;
     uint64_t writes = 0;
     uint64_t concurrent = 0;
@@ -127,8 +149,19 @@ class NearMissTracker {
     unsigned char bytes[kCacheLineSize];
   };
 
+  // Base of each carved chunk, by chunk number, for resolving handles without the
+  // tracker mutex. Small: its first page covers 4,096 blocks; a chunk past its
+  // capacity leaves its blocks unnumbered.
+  using ChunkTable = PagedTable<std::atomic<Line*>, 128, 128>;
+
   static Block* Find(const Index& index, ObjectId obj);
   static void Place(Index& index, ObjectId obj, Block* block);
+  // The block a handle's number names, or null when no carved block has it.
+  Block* Resolve(uint32_t number);
+  // Locks `block` and returns it if it holds `obj`'s history; null otherwise (or
+  // for a null block). A block read through a handle or an index entry may have
+  // been swept and handed to another object since.
+  static Block* LockIfOwner(Block* block, ObjectId obj);
   // Both return the block of the object locked; AcquireLocked inserts the object
   // if it is new.
   Block* AcquireLocked(const Access& access);
@@ -142,6 +175,8 @@ class NearMissTracker {
 
   // The current table, which the hot path loads and probes without a lock.
   std::atomic<Index*> index_{nullptr};
+  // Written under mu_ when a chunk is carved, read by the hot path without a lock.
+  ChunkTable chunk_table_;
 
   // Everything below is guarded by mu_, on lines apart from the read-only ones above.
   alignas(kCacheLineSize) mutable std::mutex mu_;

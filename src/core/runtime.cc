@@ -33,18 +33,18 @@ void Runtime::Uninstall(Runtime* rt) {
   current_.compare_exchange_strong(expected, nullptr, std::memory_order_acq_rel);
 }
 
-void Runtime::OnCall(ObjectId obj, OpId op, OpKind kind) noexcept {
+void Runtime::OnCall(ObjectId obj, OpId op, OpKind kind, NearMissHandle* handle) noexcept {
   if (disabled_.load(std::memory_order_relaxed)) {
     return;  // fail-open: the host test runs on, uninstrumented
   }
   try {
-    OnCallImpl(obj, op, kind);
+    OnCallImpl(obj, op, kind, handle);
   } catch (...) {
     RecordInternalError();
   }
 }
 
-void Runtime::OnCallImpl(ObjectId obj, OpId op, OpKind kind) {
+void Runtime::OnCallImpl(ObjectId obj, OpId op, OpKind kind, NearMissHandle* handle) {
   const ThreadId tid = CurrentThreadId();
   const Micros now = NowMicros();
 
@@ -54,17 +54,20 @@ void Runtime::OnCallImpl(ObjectId obj, OpId op, OpKind kind) {
   access.op = op;
   access.kind = kind;
   access.time = now;
+  access.handle = handle;
   // The call's one per-thread lookup: stamps progress and counts the call.
   access.timeline = engine_.NoteProgress(tid, now);
   access.ctx = CurrentCtx();
   access.concurrent_phase = phase_.RecordAndCheck(tid);
 
-  coverage_.Record(op, tid, access.concurrent_phase);
+  coverage_.Record(op, access.timeline != nullptr ? &access.timeline->coverage_lane : nullptr,
+                   access.concurrent_phase);
 
-  // check_for_trap: catch a conflicting sleeper red-handed.
-  TrapRegistry::Conflict conflict = traps_.CheckAndMark(access);
-  if (conflict.found) {
-    CatchTrapped(conflict, access);
+  // check_for_trap: catch a conflicting sleeper red-handed. Nothing is built unless
+  // the object's shard holds an armed trap.
+  bool caught = false;
+  if (traps_.MayHoldTrap(obj)) [[unlikely]] {
+    caught = CatchIfTrapped(access);
   }
 
   // should_delay + admission control.
@@ -85,11 +88,11 @@ void Runtime::OnCallImpl(ObjectId obj, OpId op, OpKind kind) {
     return;  // per-thread / aggregate budget or overhead cap; engine counts it
   }
 
-  // Arming rechecks for a trap armed since CheckAndMark above, unless that check
+  // Arming rechecks for a trap armed since the check above, unless that check
   // already caught one.
   TrapRegistry::Conflict armed_beside;
   TrapRegistry::Trap* trap = traps_.Set(access, ScopeStack::Current().Snapshot(),
-                                        conflict.found ? nullptr : &armed_beside);
+                                        caught ? nullptr : &armed_beside);
   if (armed_beside.found) {
     CatchTrapped(armed_beside, access);
   }
@@ -131,6 +134,15 @@ void Runtime::RecordInternalError() noexcept {
       engine_.CancelAllParked(WakeReason::kShutdown);
     }
   }
+}
+
+bool Runtime::CatchIfTrapped(const Access& racing) {
+  TrapRegistry::Conflict conflict;
+  if (!traps_.CheckAndMarkLocked(racing, &conflict)) {
+    return false;
+  }
+  CatchTrapped(conflict, racing);
+  return true;
 }
 
 void Runtime::CatchTrapped(const TrapRegistry::Conflict& conflict, const Access& racing) {

@@ -47,8 +47,11 @@ class Runtime {
   // the delay engine must never take down the host test. Faults are counted, and
   // past config.max_internal_errors the runtime self-disables — every further
   // OnCall is a no-op and the run completes uninstrumented (flagged
-  // runtime_disabled in the summary).
-  void OnCall(ObjectId obj, OpId op, OpKind kind) noexcept;
+  // runtime_disabled in the summary). `handle` is the object's near-miss handle
+  // (access.h), which instrumented containers carry; callers without one pass null
+  // and the tracker finds the object's history through its index.
+  void OnCall(ObjectId obj, OpId op, OpKind kind,
+              NearMissHandle* handle = nullptr) noexcept;
 
   // Entry point from the task runtime (forwarded only if the detector wants it).
   // Same firewall boundary as OnCall.
@@ -130,7 +133,11 @@ class Runtime {
   };
 
  private:
-  void OnCallImpl(ObjectId obj, OpId op, OpKind kind);
+  void OnCallImpl(ObjectId obj, OpId op, OpKind kind, NearMissHandle* handle);
+  // The locked half of check_for_trap, for an object whose shard holds an armed
+  // trap: catches the first conflicting one, if any, and returns whether it did.
+  // Out of line, so the Conflict it copies out never sits in OnCall's frame.
+  [[gnu::noinline]] bool CatchIfTrapped(const Access& racing);
   // Records the bug, tells the detector, and wakes the trapped thread: the rest of
   // its sleep is pure overhead now that the bug is on record.
   void CatchTrapped(const TrapRegistry::Conflict& conflict, const Access& racing);

@@ -1,8 +1,9 @@
 // The one per-thread slot Runtime::OnCall writes. Every call records "this thread
 // entered OnCall at `now`" once, for three readers: the delay engine's sentinel
 // (is a thread active outside a park?), HB inference (how long did the thread stall
-// since its previous call?) and the run's call count. The owner writes the slot; the
-// sentinel and Runtime::Summary read `last_call` and `calls` from other threads.
+// since its previous call?) and the run's call count. It also keeps the thread's
+// coverage lane (coverage.h). The owner writes the slot; the sentinel and
+// Runtime::Summary read `last_call` and `calls` from other threads.
 #ifndef SRC_CORE_THREAD_TIMELINE_H_
 #define SRC_CORE_THREAD_TIMELINE_H_
 
@@ -26,6 +27,8 @@ struct alignas(kCacheLineSize) ThreadTimeline {
   OpId credit_src = kInvalidOp;
   int credit_left = 0;
   std::atomic<uint64_t> calls{0};
+  // The CoverageTracker lane this thread claimed in this Runtime (0: none yet).
+  uint32_t coverage_lane = 0;
 
   void Enter(Micros now) {
     prev_call = last_call.load(std::memory_order_relaxed);

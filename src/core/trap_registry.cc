@@ -39,10 +39,11 @@ bool TrapRegistry::Clear(Trap* trap) {
   return hit;
 }
 
-TrapRegistry::Conflict TrapRegistry::CheckAndMarkSlow(Shard& shard,
-                                                      const Access& access) {
+bool TrapRegistry::CheckAndMarkLocked(const Access& access, Conflict* conflict) {
+  Shard& shard = ShardFor(access.obj);
   std::lock_guard<std::mutex> lock(shard.mu);
-  return FindConflictLocked(shard, access);
+  *conflict = FindConflictLocked(shard, access);
+  return conflict->found;
 }
 
 TrapRegistry::Conflict TrapRegistry::FindConflictLocked(Shard& shard,

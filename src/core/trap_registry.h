@@ -7,13 +7,15 @@
 // cheap.
 //
 // Hot-path design: traps are rare (at most a handful of threads sleep at once), so
-// each shard carries a relaxed-atomic count of its armed traps and CheckAndMark
-// returns without touching the shard mutex when the count is zero — the overwhelmingly
-// common case. The counter is incremented with release ordering inside Set() before
-// the arming thread proceeds to sleep, and read with acquire ordering by checkers, so
-// any trap armed before a checker's access (in the happens-before sense) is never
-// missed: the fast path can only skip shards whose traps are still concurrently being
-// armed, which is indistinguishable from the checker arriving first.
+// each shard carries a relaxed-atomic count of its armed traps, and MayHoldTrap
+// answers from that count alone: one acquire load, no lock, nothing built. Only a
+// nonzero count sends the caller to CheckAndMarkLocked, the one place a Conflict
+// (an Access plus a stack) is copied out. The counter is incremented with release
+// ordering inside Set() before the arming thread proceeds to sleep, and read with
+// acquire ordering by checkers, so any trap armed before a checker's access (in the
+// happens-before sense) is never missed: the fast path can only skip shards whose
+// traps are still concurrently being armed, which is indistinguishable from the
+// checker arriving first.
 //
 // ArmedCount() sums the per-shard counters instead of maintaining a global one:
 // the global counter was one more cache line every Set()/Clear() dirtied for all
@@ -67,19 +69,27 @@ class TrapRegistry {
   // Disarms a trap; returns whether any conflict was caught while it was set.
   bool Clear(Trap* trap);
 
-  // Returns the first armed trap conflicting with `access` (found = false if none) and
-  // marks it hit. The caller builds the bug report while the trapped thread still
-  // sleeps — both threads are "caught red handed". The trap is copied out under the
-  // shard lock, so the trapped thread clearing it concurrently is harmless.
+  // The inline fast path of the trap check: may an armed trap in the object's shard
+  // conflict with an access to it? One acquire load and out, no call, no lock (see
+  // the file comment for why acquire here pairs with the release increment in Set()).
+  bool MayHoldTrap(ObjectId obj) {
+    return ShardFor(obj).armed.load(std::memory_order_acquire) != 0;
+  }
+
+  // Finds the first armed trap conflicting with `access` under its shard lock, marks
+  // it hit and copies it to `conflict`; returns whether one was found. The caller
+  // builds the bug report while the trapped thread still sleeps — both threads are
+  // "caught red handed". The trap is copied out under the lock, so the trapped
+  // thread clearing it concurrently is harmless.
+  bool CheckAndMarkLocked(const Access& access, Conflict* conflict);
+
+  // Both steps at once, for callers off the per-call path.
   Conflict CheckAndMark(const Access& access) {
-    // Inline fast path: with no trap armed in the object's shard there is nothing to
-    // check — one acquire load and out, no call, no lock (see the file comment for
-    // why acquire here pairs with the release increment in Set()).
-    Shard& shard = ShardFor(access.obj);
-    if (shard.armed.load(std::memory_order_acquire) == 0) {
-      return Conflict{};
+    Conflict conflict;
+    if (MayHoldTrap(access.obj)) {
+      CheckAndMarkLocked(access, &conflict);
     }
-    return CheckAndMarkSlow(shard, access);
+    return conflict;
   }
 
   // Number of currently armed traps: the sum of the per-shard counters. O(kShards)
@@ -108,7 +118,6 @@ class TrapRegistry {
                 "trap shards must not straddle a neighbor's cache line");
 
   Shard& ShardFor(ObjectId obj) { return shards_[Mix64(obj) % kShards]; }
-  Conflict CheckAndMarkSlow(Shard& shard, const Access& access);
   static Conflict FindConflictLocked(Shard& shard, const Access& access);
 
   Shard shards_[kShards];

@@ -13,7 +13,7 @@
 
 namespace tsvd {
 
-class BitArray {
+class BitArray : public Instrumented {
  public:
   using SrcLoc = std::source_location;
 

@@ -22,7 +22,7 @@
 namespace tsvd {
 
 template <typename K, typename V>
-class Dictionary {
+class Dictionary : public Instrumented {
  public:
   using SrcLoc = std::source_location;
 

@@ -12,7 +12,7 @@
 namespace tsvd {
 
 template <typename T>
-class HashSet {
+class HashSet : public Instrumented {
  public:
   using SrcLoc = std::source_location;
 

@@ -74,21 +74,36 @@ inline OpId InternCached(const std::source_location& loc, const char* api, OpKin
 }  // namespace internal
 
 // Reports one dynamic execution of a TSVD point. No-op when no runtime is installed
-// (the uninstrumented baseline).
+// (the uninstrumented baseline). `handle` is the object's near-miss handle, if it
+// has one.
 inline void InstrumentPoint(const void* obj, const char* api, OpKind kind,
-                            const std::source_location& loc) {
+                            const std::source_location& loc,
+                            NearMissHandle* handle = nullptr) {
   Runtime* rt = Runtime::Current();
   if (rt == nullptr) {
     return;
   }
-  rt->OnCall(ObjectIdOf(obj), internal::InternCached(loc, api, kind), kind);
+  rt->OnCall(ObjectIdOf(obj), internal::InternCached(loc, api, kind), kind, handle);
 }
+
+// Base of every instrumented container: the container's handle to its near-miss
+// history, which the tracker keeps pointing at the object's block so that repeat
+// accesses skip the object index (nearmiss_tracker.h). Mutable, because read-only
+// container methods are TSVD points too.
+class Instrumented {
+ protected:
+  mutable NearMissHandle nearmiss_handle_{0};
+};
 
 }  // namespace tsvd
 
 // Convenience used inside instrumented container methods, which all take a trailing
 // `const std::source_location& loc = std::source_location::current()` parameter.
-#define TSVD_READ(api) ::tsvd::InstrumentPoint(this, api, ::tsvd::OpKind::kRead, loc)
-#define TSVD_WRITE(api) ::tsvd::InstrumentPoint(this, api, ::tsvd::OpKind::kWrite, loc)
+#define TSVD_READ(api)                                                      \
+  ::tsvd::InstrumentPoint(this, api, ::tsvd::OpKind::kRead, loc,            \
+                          &this->nearmiss_handle_)
+#define TSVD_WRITE(api)                                                     \
+  ::tsvd::InstrumentPoint(this, api, ::tsvd::OpKind::kWrite, loc,           \
+                          &this->nearmiss_handle_)
 
 #endif  // SRC_INSTRUMENT_INSTRUMENT_H_

@@ -13,7 +13,7 @@
 namespace tsvd {
 
 template <typename T>
-class LinkedList {
+class LinkedList : public Instrumented {
  public:
   using SrcLoc = std::source_location;
 

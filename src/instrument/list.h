@@ -14,7 +14,7 @@
 namespace tsvd {
 
 template <typename T>
-class List {
+class List : public Instrumented {
  public:
   using SrcLoc = std::source_location;
 

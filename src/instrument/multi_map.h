@@ -13,7 +13,7 @@
 namespace tsvd {
 
 template <typename K, typename V>
-class MultiMap {
+class MultiMap : public Instrumented {
  public:
   using SrcLoc = std::source_location;
 

@@ -12,7 +12,7 @@
 namespace tsvd {
 
 template <typename T>
-class Queue {
+class Queue : public Instrumented {
  public:
   using SrcLoc = std::source_location;
 

@@ -13,7 +13,7 @@
 namespace tsvd {
 
 template <typename K, typename V>
-class SortedList {
+class SortedList : public Instrumented {
  public:
   using SrcLoc = std::source_location;
 

@@ -13,7 +13,7 @@
 namespace tsvd {
 
 template <typename T>
-class SortedSet {
+class SortedSet : public Instrumented {
  public:
   using SrcLoc = std::source_location;
 

@@ -12,7 +12,7 @@
 namespace tsvd {
 
 template <typename T>
-class Stack {
+class Stack : public Instrumented {
  public:
   using SrcLoc = std::source_location;
 

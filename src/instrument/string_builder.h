@@ -11,7 +11,7 @@
 
 namespace tsvd {
 
-class StringBuilder {
+class StringBuilder : public Instrumented {
  public:
   using SrcLoc = std::source_location;
 

@@ -2,18 +2,27 @@
 // which TSVD points were hit at all, and which were hit in a concurrent context. One
 // Microsoft team used exactly these statistics to find blind spots in their testing.
 //
-// Record() runs on every OnCall, so it is lock-free: counts live in dense paged
-// tables of relaxed atomics indexed by OpId (ids are interned densely; the table
-// caps at kMaxOps, like every OpId-indexed table). The tables are lane-sharded by
-// the caller's thread id: OpIds name *static* program locations, so the same hot
-// call sites recur across every thread, and a single table made each hot cell a
-// cache line all cores RMW on every call. With kLanes lanes a cell line is
-// contended only by the (tid mod kLanes)-congruent subset of threads — at 64
-// threads, 4 instead of 64 writers per line. Pages are allocated per (lane, range)
-// on first touch, so an idle runtime costs a few pointers and lanes only
-// materialize for thread ids that actually run. Queries take no lock either — they
-// sum the lanes' atomics and are monotone rather than snapshot-consistent, which is
-// all the end-of-run reporting needs.
+// Record() runs on every OnCall, so it takes no lock and, for most threads, no
+// locked RMW either: counts live in dense paged tables of relaxed atomics indexed by
+// OpId (ids are interned densely; the table caps at kMaxOps, like every
+// OpId-indexed table), one table per lane. OpIds name *static* program locations, so
+// the same hot call sites recur across every thread; a single table made each hot
+// cell a cache line all cores RMW on every call. Instead each thread claims a lane of
+// its own on its first call and keeps the lane's number in a cell the caller owns
+// (the runtime uses the thread's timeline slot, so a thread claims once per
+// Runtime). A lane with one writer is updated with a relaxed load and store. Threads
+// that come after the exclusive lanes are gone spread over the shared lanes in claim
+// order, and callers without a cell use the last one; shared lanes keep the
+// fetch_add. With one shared lane, the threads past the sixteenth of a 64-thread
+// run all hit the same hot cells (oncall_hotpath no_trap at 64 threads: 59 ns per
+// call, against 42 ns with the ThreadId-folded lanes). Lanes are claimed in order
+// of first call, not by ThreadId: ids are process-wide and never reused, so in a
+// long process they would soon all fall past any fixed range of exclusive lanes.
+// Pages are allocated per (lane, range) on first
+// touch, so an idle runtime costs a few pointers and lanes only materialize for
+// threads that actually run. Queries take no lock either — they sum the lanes'
+// atomics and are monotone rather than snapshot-consistent, which is all the
+// end-of-run reporting needs.
 #ifndef SRC_REPORT_COVERAGE_H_
 #define SRC_REPORT_COVERAGE_H_
 
@@ -29,16 +38,29 @@ namespace tsvd {
 
 class CoverageTracker {
  public:
-  void Record(OpId op, ThreadId tid, bool concurrent_phase) {
-    Cell* cell = lanes_[LaneFor(tid)].Find(op);
+  // Counts one hit of `op`. `lane` is the calling thread's lane cell, which only
+  // that thread reads and writes (0: no lane claimed yet), or null for a caller
+  // without one, which counts on the last shared lane.
+  void Record(OpId op, uint32_t* lane, bool concurrent_phase) {
+    if (lane != nullptr && *lane == 0) [[unlikely]] {
+      *lane = ClaimLane();
+    }
+    const size_t index = lane == nullptr ? kLanes - 1 : *lane - 1;
+    Cell* cell = lanes_[index].Find(op);
     if (cell == nullptr) {
       return;  // uninterned / synthetic id beyond the dense range
     }
-    // Both counters ride one RMW: total hits in the low half, concurrent hits in
+    // Both counters ride one update: total hits in the low half, concurrent hits in
     // the high half. A point would need 2^32 hits to carry between the halves —
-    // far past any run this diagnostic serves — so one fetch_add replaces two.
-    cell->packed.fetch_add(1 + (static_cast<uint64_t>(concurrent_phase) << 32),
-                           std::memory_order_relaxed);
+    // far past any run this diagnostic serves.
+    const uint64_t add = 1 + (static_cast<uint64_t>(concurrent_phase) << 32);
+    if (index >= kExclusiveLanes) {
+      cell->packed.fetch_add(add, std::memory_order_relaxed);
+    } else {
+      // One writer: a load+store pair is exact and cheaper than a locked RMW.
+      cell->packed.store(cell->packed.load(std::memory_order_relaxed) + add,
+                         std::memory_order_relaxed);
+    }
   }
 
   struct Entry {
@@ -67,12 +89,21 @@ class CoverageTracker {
   static uint64_t HitsOf(uint64_t packed) { return packed & 0xffffffffu; }
   static uint64_t ConcurrentOf(uint64_t packed) { return packed >> 32; }
 
-  static constexpr size_t kLanes = 16;
+  // Lanes below kExclusiveLanes go one to a thread; the rest are shared.
+  static constexpr size_t kExclusiveLanes = 16;
+  static constexpr size_t kLanes = 32;
   using Lane = PerOp<Cell>;
 
-  // Dense ThreadIds start at 1; keep the fold aligned with the phase detector's
-  // shard placement so a thread's hot lines stay with its core.
-  static size_t LaneFor(ThreadId tid) { return (tid - 1) & (kLanes - 1); }
+  // The next exclusive lane, or once those are gone a shared one in turn, as the
+  // value of a lane cell (lane number plus one).
+  uint32_t ClaimLane() {
+    const size_t claimed = next_lane_.fetch_add(1, std::memory_order_relaxed);
+    const size_t lane =
+        claimed < kExclusiveLanes
+            ? claimed
+            : kExclusiveLanes + (claimed - kExclusiveLanes) % (kLanes - kExclusiveLanes);
+    return static_cast<uint32_t>(lane + 1);
+  }
 
   // Visits every op with a nonzero hit count, with lane-summed totals.
   template <typename Fn>
@@ -106,6 +137,7 @@ class CoverageTracker {
   }
 
   Lane lanes_[kLanes];
+  std::atomic<size_t> next_lane_{0};
 };
 
 }  // namespace tsvd

@@ -382,5 +382,83 @@ TEST(NearMissTest, SameThreadRunSkipsScanButForeignAccessSeesWholeRing) {
   }
 }
 
+Access With(Access access, NearMissHandle* handle) {
+  access.handle = handle;
+  return access;
+}
+
+// A handle outlives the block it names. Once a sweep frees A's block and B takes it
+// over, A's stale handle leads straight to B's history, and only the tracker's
+// ownership check keeps A's next access out of it.
+TEST(NearMissHandleTest, StaleHandleToAReusedBlockFormsNoNearMissWithItsNewOwner) {
+  NearMissTracker tracker(NearMissConfig(1000, 5));
+  NearMissHandle a_handle{0};
+  tracker.RecordAndFindConflicts(With(At(1, 0xA0, 1, OpKind::kWrite, 1), &a_handle));
+  const uint32_t a_block = a_handle.load();
+  ASSERT_NE(a_block, 0u);
+  // Thread 2 inserts objects past 8 windows, from a pool of its own, until a sweep
+  // runs: A was insert 1, so the last of these is insert kMinInsertsPerSweep, and
+  // it sweeps A out.
+  for (size_t i = 1; i < NearMissTracker::kMinInsertsPerSweep; ++i) {
+    tracker.RecordAndFindConflicts(
+        At(2, 0x100000 + static_cast<ObjectId>(i) * 64, 2, OpKind::kWrite, 10'000));
+  }
+  ASSERT_EQ(tracker.TrackedObjects(), NearMissTracker::kMinInsertsPerSweep - 1);
+  // B, inserted by thread 1 like A, gets A's block back from their pool.
+  NearMissHandle b_handle{0};
+  tracker.RecordAndFindConflicts(With(At(1, 0xB0, 3, OpKind::kWrite, 10'001), &b_handle));
+  ASSERT_EQ(b_handle.load(), a_block);
+
+  EXPECT_TRUE(tracker
+                  .RecordAndFindConflicts(
+                      With(At(3, 0xA0, 4, OpKind::kWrite, 10'002), &a_handle))
+                  .empty())
+      << "A's access was recorded into B's block";
+  EXPECT_NE(a_handle.load(), a_block);
+  EXPECT_NE(a_handle.load(), 0u);
+  // B's history holds only B's record.
+  const auto misses =
+      tracker.RecordAndFindConflicts(With(At(4, 0xB0, 5, OpKind::kRead, 10'003), &b_handle));
+  ASSERT_EQ(misses.size(), 1u);
+  EXPECT_EQ(misses[0].other_op, 3u);
+}
+
+// A handle naming no carved block, or a free one, resolves to nothing the object
+// owns: the access goes through the index and the handle is repaired.
+TEST(NearMissHandleTest, HandleNamingNoBlockOfTheObjectFallsBackToTheIndex) {
+  NearMissTracker tracker(NearMissConfig(1000, 5));
+  NearMissHandle handle{0};
+  tracker.RecordAndFindConflicts(With(At(1, 0x10, 1, OpKind::kWrite, 1), &handle));
+  const uint32_t number = handle.load();
+  ASSERT_NE(number, 0u);
+  // Past the chunk table, inside it but not carved, and a carved but free block.
+  const uint32_t bogus[] = {0xffffffffu, number + 32 * 1000, number + 1};
+  ThreadId tid = 2;
+  for (uint32_t wrong : bogus) {
+    SCOPED_TRACE("handle " + std::to_string(wrong));
+    handle.store(wrong);
+    const auto misses =
+        tracker.RecordAndFindConflicts(With(At(tid++, 0x10, 2, OpKind::kRead, 2), &handle));
+    ASSERT_EQ(misses.size(), 1u);
+    EXPECT_EQ(misses[0].other_op, 1u);
+    EXPECT_EQ(handle.load(), number);
+  }
+  EXPECT_EQ(tracker.TrackedObjects(), 1u);
+}
+
+// Accesses with and without a handle share one history per object.
+TEST(NearMissHandleTest, AccessesWithAndWithoutAHandleShareTheHistory) {
+  NearMissTracker tracker(NearMissConfig(1000, 5));
+  NearMissHandle handle{0};
+  tracker.RecordAndFindConflicts(At(1, 0x10, 1, OpKind::kWrite, 1));
+  auto misses =
+      tracker.RecordAndFindConflicts(With(At(2, 0x10, 2, OpKind::kRead, 2), &handle));
+  ASSERT_EQ(misses.size(), 1u);
+  EXPECT_EQ(misses[0].other_op, 1u);
+  misses = tracker.RecordAndFindConflicts(At(3, 0x10, 3, OpKind::kWrite, 3));
+  ASSERT_EQ(misses.size(), 2u);
+  EXPECT_EQ(misses[1].other_op, 2u);
+}
+
 }  // namespace
 }  // namespace tsvd

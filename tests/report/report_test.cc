@@ -3,6 +3,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <thread>
+#include <vector>
 
 #include "src/common/callsite.h"
 #include "src/report/bug_report.h"
@@ -100,9 +102,11 @@ TEST(RunSummaryTest, MergeAccumulates) {
 
 TEST(CoverageTest, TracksHitsAndConcurrency) {
   CoverageTracker coverage;
-  coverage.Record(1, /*tid=*/1, false);
-  coverage.Record(1, /*tid=*/2, true);
-  coverage.Record(2, /*tid=*/1, false);
+  uint32_t thread1 = 0;  // each simulated thread's lane cell
+  uint32_t thread2 = 0;
+  coverage.Record(1, &thread1, false);
+  coverage.Record(1, &thread2, true);
+  coverage.Record(2, &thread1, false);
   EXPECT_EQ(coverage.PointsHit(), 2u);
   EXPECT_EQ(coverage.PointsHitConcurrently(), 1u);
   EXPECT_EQ(coverage.Lookup(1).hits, 2u);
@@ -113,15 +117,63 @@ TEST(CoverageTest, TracksHitsAndConcurrency) {
 }
 
 TEST(CoverageTest, SumsHitsAcrossThreadLanes) {
-  // Threads land on different internal lanes; totals must aggregate across all.
+  // Threads land on different internal lanes, the later ones and the callers
+  // without a lane cell on shared ones; totals must aggregate across all.
   CoverageTracker coverage;
-  for (ThreadId tid = 1; tid <= 32; ++tid) {
-    coverage.Record(7, tid, tid % 2 == 0);
+  uint32_t cells[64] = {};
+  for (int t = 0; t < 64; ++t) {
+    coverage.Record(7, &cells[t], t % 2 == 0);
+    coverage.Record(7, nullptr, false);
   }
-  EXPECT_EQ(coverage.Lookup(7).hits, 32u);
-  EXPECT_EQ(coverage.Lookup(7).concurrent_hits, 16u);
+  EXPECT_EQ(coverage.Lookup(7).hits, 128u);
+  EXPECT_EQ(coverage.Lookup(7).concurrent_hits, 32u);
   EXPECT_EQ(coverage.PointsHit(), 1u);
   EXPECT_EQ(coverage.PointsHitConcurrently(), 1u);
+}
+
+TEST(CoverageTest, ThreadKeepsTheLaneItClaimedFirst) {
+  CoverageTracker coverage;
+  uint32_t first = 0;
+  uint32_t second = 0;
+  coverage.Record(3, &first, false);
+  coverage.Record(3, &second, false);
+  const uint32_t claimed = first;
+  EXPECT_NE(claimed, 0u);
+  EXPECT_NE(second, claimed);
+  coverage.Record(4, &first, true);
+  EXPECT_EQ(first, claimed);
+  EXPECT_EQ(coverage.Lookup(3).hits, 2u);
+  EXPECT_EQ(coverage.Lookup(4).concurrent_hits, 1u);
+}
+
+TEST(CoverageTest, CountsStayExactWithMoreThreadsThanExclusiveLanes) {
+  // 40 racing threads: the first 16 to call get lanes of their own, the rest
+  // share the shared lanes (fetch_add), the last of them with two callers that
+  // have no lane cell.
+  CoverageTracker coverage;
+  constexpr int kThreads = 40;
+  constexpr int kCalls = 20'000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads + 2; ++t) {
+    threads.emplace_back([&coverage, t] {
+      uint32_t cell = 0;
+      for (int i = 0; i < kCalls; ++i) {
+        coverage.Record(static_cast<OpId>(i % 3), t < kThreads ? &cell : nullptr,
+                        i % 2 == 0);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  uint64_t hits = 0;
+  uint64_t concurrent = 0;
+  for (OpId op = 0; op < 3; ++op) {
+    hits += coverage.Lookup(op).hits;
+    concurrent += coverage.Lookup(op).concurrent_hits;
+  }
+  EXPECT_EQ(hits, uint64_t{kThreads + 2} * kCalls);
+  EXPECT_EQ(concurrent, uint64_t{kThreads + 2} * kCalls / 2);
 }
 
 TEST(CoverageTest, LookupUnknownIsZero) {
