@@ -13,11 +13,8 @@ namespace tsvd::campaign {
 LocalExecutor::LocalExecutor(const CampaignOptions& options, JobFn run)
     : resume_(options.resume),
       scheduler_(options.workers, options.pool_threads_per_worker),
-      run_(std::move(run)) {
-  retry_.max_attempts = options.max_attempts;
-  retry_.backoff_base_ms = options.sandbox.backoff_base_ms;
-  retry_.backoff_cap_ms = options.sandbox.backoff_cap_ms;
-}
+      retry_(RetryPolicyFor(options)),
+      run_(std::move(run)) {}
 
 LocalExecutor::LocalExecutor(const CampaignOptions& options,
                              const std::vector<workload::ModuleSpec>* corpus)
@@ -84,7 +81,7 @@ RoundRun LocalExecutor::ExecuteRound(const std::vector<RunJob>& jobs,
     store_.Merge(salvage_);
     salvage_ = TrapFile{};
   }
-  const Scheduler::JobFn run_job = [&](const RunJob& job, tasks::ThreadPool& pool) {
+  const AttemptFn run_job = [&](const RunJob& job, tasks::ThreadPool& pool) {
     return run_(job, imported, pool);
   };
   scheduler_.SetCompletionCallback(hooks.commit);

@@ -102,11 +102,6 @@ struct CampaignOptions {
     visit("sandbox_enabled", r.sandbox.enabled...);
     visit("run_timeout_ms", r.sandbox.run_timeout_ms...);
     visit("backoff_base_ms", r.sandbox.backoff_base_ms...);
-    visit("backoff_cap_ms", r.sandbox.backoff_cap_ms...);
-    visit("degrade_delay_factor", r.sandbox.degrade_delay_factor...);
-    visit("degrade_budget_factor", r.sandbox.degrade_budget_factor...);
-    visit("initial_budget_delays", r.sandbox.initial_budget_delays...);
-    visit("min_delay_us", r.sandbox.min_delay_us...);
     visit("fault_crash_modules", r.fault_crash_modules...);
     visit("fault_hang_modules", r.fault_hang_modules...);
     visit("fault_throw_modules", r.fault_throw_modules...);

@@ -161,7 +161,7 @@ class LocalExecutor : public RoundExecutor {
  private:
   const bool resume_;
   Scheduler scheduler_;
-  RetryPolicy retry_;
+  const RetryPolicy retry_;
   JobFn run_;
   std::string checkpoint_dir_;  // empty unless sandboxed
   bool checkpoint_dir_made_ = false;

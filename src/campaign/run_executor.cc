@@ -28,26 +28,31 @@ std::pair<std::string, std::string> SignaturesOf(const LocationPair& pair) {
 }
 
 // The delay-degradation ladder (graceful degradation after watchdog timeouts): each
-// level multiplies delay_us down and tightens the per-thread delay budget, so a
+// level multiplies delay_us and the per-thread delay budget by these factors, so a
 // retried run injects less total delay and finishes inside the deadline instead of
 // thrashing against the watchdog. An unlimited budget is first pinned to
-// initial_budget_delays full-length delays so there is something to tighten.
-Config DegradeConfig(Config cfg, int level, const sandbox::SandboxPolicy& policy) {
+// kDegradeInitialBudgetDelays full-length delays so there is something to tighten;
+// neither value falls below kDegradeMinDelayUs.
+constexpr double kDegradeDelayFactor = 0.5;
+constexpr double kDegradeBudgetFactor = 0.5;
+constexpr int kDegradeInitialBudgetDelays = 32;
+constexpr Micros kDegradeMinDelayUs = 1'000;
+
+Config DegradeConfig(Config cfg, int level) {
   if (level <= 0) {
     return cfg;
   }
   if (cfg.max_delay_per_thread_us <= 0) {
-    cfg.max_delay_per_thread_us =
-        static_cast<Micros>(policy.initial_budget_delays) * cfg.delay_us;
+    cfg.max_delay_per_thread_us = kDegradeInitialBudgetDelays * cfg.delay_us;
   }
   for (int i = 0; i < level; ++i) {
     cfg.delay_us = std::max<Micros>(
-        policy.min_delay_us,
-        static_cast<Micros>(static_cast<double>(cfg.delay_us) * policy.degrade_delay_factor));
+        kDegradeMinDelayUs,
+        static_cast<Micros>(static_cast<double>(cfg.delay_us) * kDegradeDelayFactor));
     cfg.max_delay_per_thread_us = std::max<Micros>(
-        policy.min_delay_us,
+        kDegradeMinDelayUs,
         static_cast<Micros>(static_cast<double>(cfg.max_delay_per_thread_us) *
-                            policy.degrade_budget_factor));
+                            kDegradeBudgetFactor));
   }
   return cfg;
 }
@@ -108,17 +113,6 @@ RunOutcome ExecuteJob(const RunJob& job, workload::ModuleRunner& runner,
   return outcome;
 }
 
-Micros RetryBackoffUs(const RetryPolicy& policy, int completed_attempts) {
-  if (policy.backoff_base_ms <= 0) {
-    return 0;
-  }
-  const int doublings = std::min(completed_attempts - 1, 20);
-  const int64_t ms = std::min<int64_t>(
-      static_cast<int64_t>(policy.backoff_base_ms) << doublings,
-      std::max<int64_t>(policy.backoff_cap_ms, policy.backoff_base_ms));
-  return ms * 1000;
-}
-
 }  // namespace
 
 CampaignCorpus BuildCampaignCorpus(const CampaignOptions& options) {
@@ -165,9 +159,9 @@ Config BuildRunConfig(const CampaignOptions& options) {
   Config config = workload::ScaledConfig(options.scale);
   if (options.delay_us_override > 0) {
     config.delay_us = options.delay_us_override;
-    // Keep the budget:delay ratio ScaledConfig established, otherwise a long
-    // override would be skipped by its own per-thread budget.
-    config.max_delay_per_thread_us = 20 * config.delay_us;
+    // Keep ScaledConfig's budget:delay ratio, otherwise a long override would be
+    // skipped by its own per-thread budget.
+    config.max_delay_per_thread_us = workload::kBudgetDelaysPerThread * config.delay_us;
   }
   if (options.stall_grace_us >= 0) {
     config.stall_grace_us = options.stall_grace_us;
@@ -179,6 +173,10 @@ Config BuildRunConfig(const CampaignOptions& options) {
     config.max_internal_errors = options.max_internal_errors;
   }
   return config;
+}
+
+RetryPolicy RetryPolicyFor(const CampaignOptions& options) {
+  return RetryPolicy{options.max_attempts, options.sandbox.backoff_base_ms};
 }
 
 uint64_t RoundSalt(uint64_t campaign_seed, int round) {
@@ -213,7 +211,7 @@ RunOutcome RunExecutor::Execute(const RunJob& job, const TrapFile& imported,
 
 RunOutcome RunExecutor::ExecuteInProcess(const RunJob& job, const TrapFile& imported,
                                          tasks::ThreadPool* pool) const {
-  const Config run_cfg = DegradeConfig(config_, job.degrade_level, options_.sandbox);
+  const Config run_cfg = DegradeConfig(config_, job.degrade_level);
   workload::ModuleRunner runner(run_cfg, pool);
   return ExecuteJob(job, runner, (*corpus_)[job.module_index], factory_, imported,
                     options_.seed);
@@ -234,8 +232,7 @@ RunOutcome RunExecutor::ExecuteForked(const RunJob& job,
         // pool, and stream forensics markers so the parent can attribute a
         // crash or SIGKILL even when no outcome ever arrives.
         tasks::ThreadPool child_pool(options_.pool_threads_per_worker);
-        const Config run_cfg =
-            DegradeConfig(config_, job.degrade_level, options_.sandbox);
+        const Config run_cfg = DegradeConfig(config_, job.degrade_level);
         workload::ModuleRunner runner(run_cfg, &child_pool);
         runner.set_test_begin_hook([](int index, const std::string& name) {
           sandbox::MarkPhase("test:" + std::to_string(index) + ":" + name);
@@ -277,70 +274,6 @@ RunOutcome RunExecutor::ExecuteForked(const RunJob& job,
   }
   std::filesystem::remove(ckpt, ec);
   return outcome;
-}
-
-RunOutcome ExecuteWithRetries(const RunExecutor& executor, RunJob job,
-                              const TrapFile& imported, tasks::ThreadPool* pool,
-                              const RetryPolicy& policy) {
-  const int max_attempts = std::max(policy.max_attempts, 1);
-  std::vector<std::string> errors;
-  TrapFile salvaged;
-
-  for (;;) {
-    RunOutcome outcome;
-    bool ok = false;
-    std::string error;
-    try {
-      outcome = executor.Execute(job, imported, pool);
-      ok = outcome.status == RunStatus::kOk;
-      if (!ok) {
-        error = outcome.error.empty() ? "run failed" : outcome.error;
-      }
-    } catch (const std::exception& e) {
-      error = e.what();
-    } catch (...) {
-      // A non-standard throw (int, const char*, ...) must degrade to a crashed
-      // outcome, not terminate the agent.
-      error = "non-standard exception";
-    }
-
-    if (!ok) {
-      errors.push_back("attempt " + std::to_string(job.attempt) + ": " + error);
-      // Failed sandbox attempts can still carry trap pairs salvaged from the
-      // child's atomic checkpoint; keep them across retries.
-      if (!outcome.traps.empty()) {
-        salvaged.Merge(outcome.traps);
-      }
-      if (job.attempt < max_attempts) {
-        if (outcome.status == RunStatus::kTimedOut) {
-          ++job.degrade_level;
-        }
-        SleepMicros(RetryBackoffUs(policy, job.attempt));
-        ++job.attempt;
-        continue;
-      }
-      // Preserve whatever forensics the failed outcome carries (crash signature,
-      // fatal signal); an exception path synthesizes a crashed outcome.
-      if (outcome.status == RunStatus::kOk) {
-        outcome = RunOutcome{};
-        outcome.status = RunStatus::kCrashed;
-      }
-      outcome.module_index = job.module_index;
-      outcome.round = job.round;
-      outcome.error = error;
-      outcome.quarantined = true;  // exhausted max_attempts
-      outcome.observations.clear();
-      outcome.traps = std::move(salvaged);
-    } else if (!salvaged.empty()) {
-      // Earlier failed attempts' learning survives a successful retry.
-      outcome.traps.Merge(salvaged);
-    }
-    outcome.salvaged_trap_pairs = ok ? salvaged.size() : outcome.traps.size();
-    outcome.attempt_errors = std::move(errors);
-    outcome.attempts = job.attempt;
-    outcome.degrade_level = job.degrade_level;
-    return outcome;
-  }
 }
 
 }  // namespace tsvd::campaign

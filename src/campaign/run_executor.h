@@ -6,7 +6,8 @@
 // when an agent is SIGKILLed mid-round — only holds if every process derives the
 // corpus, the delay-engine config, the per-round salt, and the per-run execution
 // (including the sandbox fork, checkpointing, and delay degradation) from one code
-// path. This header is that path; the round loop around it is CampaignDriver
+// path. This header is that path; the retry ladder around each job is
+// AttemptLadder (scheduler.h) and the round loop around it is CampaignDriver
 // (driver.h).
 #ifndef SRC_CAMPAIGN_RUN_EXECUTOR_H_
 #define SRC_CAMPAIGN_RUN_EXECUTOR_H_
@@ -44,6 +45,11 @@ CampaignCorpus BuildCampaignCorpus(const CampaignOptions& options);
 
 // The scaled delay-engine config with the options' overrides applied.
 Config BuildRunConfig(const CampaignOptions& options);
+
+// The retry ladder's shape (scheduler.h): options.max_attempts attempts, backing
+// off from options.sandbox.backoff_base_ms. Campaign workers and fleet agents
+// both take it from here.
+RetryPolicy RetryPolicyFor(const CampaignOptions& options);
 
 // The per-run workload salt. Depends only on (campaign seed, round): same-seed
 // campaigns replay the same randomness per round no matter which worker, agent,
@@ -90,16 +96,6 @@ class RunExecutor {
   std::string checkpoint_dir_;
   bool sandboxed_;
 };
-
-// The scheduler's retry ladder as a standalone loop, for callers (fleet agents)
-// that execute one job at a time instead of a queue: failed attempts retry up to
-// policy.max_attempts with exponential backoff, a timed-out attempt degrades the
-// delay ladder one step, salvaged trap pairs survive across attempts, and an
-// exhausted job comes back quarantined — the same semantics Scheduler::WorkerLoop
-// gives campaign workers.
-RunOutcome ExecuteWithRetries(const RunExecutor& executor, RunJob job,
-                              const TrapFile& imported, tasks::ThreadPool* pool,
-                              const RetryPolicy& policy);
 
 }  // namespace tsvd::campaign
 

@@ -6,21 +6,108 @@
 #include <utility>
 
 namespace tsvd::campaign {
-namespace {
 
-Micros BackoffDelayUs(const RetryPolicy& policy, int completed_attempts) {
-  if (policy.backoff_base_ms <= 0) {
-    return 0;
+AttemptLadder::AttemptLadder(const RunJob& job, const RetryPolicy& policy)
+    : job_(job),
+      max_attempts_(std::max(policy.max_attempts, 1)),
+      backoff_base_ms_(policy.backoff_base_ms) {}
+
+void AttemptLadder::Run(const AttemptFn& attempt, tasks::ThreadPool& pool) {
+  last_ = RunOutcome{};  // what a throw leaves
+  failed_ = true;
+  try {
+    last_ = attempt(job_, pool);
+    failed_ = last_.status != RunStatus::kOk;
+    if (failed_) {
+      error_ = last_.error.empty() ? "run failed" : last_.error;
+    }
+  } catch (const std::exception& e) {
+    error_ = e.what();
+  } catch (...) {
+    // A non-standard throw (int, const char*, ...) must degrade to a crashed
+    // outcome, not terminate the worker or agent.
+    error_ = "non-standard exception";
   }
-  // First retry waits the base; each further retry doubles it, capped.
-  const int doublings = std::min(completed_attempts - 1, 20);
-  const int64_t ms = std::min<int64_t>(
-      static_cast<int64_t>(policy.backoff_base_ms) << doublings,
-      std::max<int64_t>(policy.backoff_cap_ms, policy.backoff_base_ms));
-  return ms * 1000;
+  if (failed_) {
+    errors_.push_back("attempt " + std::to_string(job_.attempt) + ": " + error_);
+    // Failed sandbox attempts can still carry trap pairs salvaged from the
+    // child's atomic checkpoint; keep them across retries.
+    if (!last_.traps.empty()) {
+      salvaged_.Merge(last_.traps);
+    }
+  }
 }
 
-}  // namespace
+Micros AttemptLadder::Advance() {
+  if (last_.status == RunStatus::kTimedOut) {
+    ++job_.degrade_level;
+  }
+  Micros backoff_us = 0;
+  if (backoff_base_ms_ > 0) {
+    // First retry waits the base; each further retry doubles it, capped.
+    constexpr int64_t kBackoffCapMs = 2'000;
+    const int doublings = std::min(job_.attempt - 1, 20);
+    backoff_us = 1000 * std::min<int64_t>(
+                            static_cast<int64_t>(backoff_base_ms_) << doublings,
+                            std::max<int64_t>(kBackoffCapMs, backoff_base_ms_));
+  }
+  ++job_.attempt;
+  return backoff_us;
+}
+
+RunOutcome AttemptLadder::Finish() {
+  RunOutcome outcome = std::move(last_);
+  if (failed_) {
+    // Preserve whatever forensics the failed outcome carries (crash signature,
+    // fatal signal); a throw synthesizes a crashed outcome.
+    if (outcome.status == RunStatus::kOk) {
+      outcome = RunOutcome{};
+      outcome.status = RunStatus::kCrashed;
+    }
+    outcome.module_index = job_.module_index;
+    outcome.round = job_.round;
+    outcome.error = error_;
+    outcome.quarantined = job_.attempt >= max_attempts_;
+    outcome.observations.clear();
+    outcome.traps = std::move(salvaged_);
+    outcome.salvaged_trap_pairs = outcome.traps.size();
+  } else {
+    outcome.salvaged_trap_pairs = salvaged_.size();
+    if (!salvaged_.empty()) {
+      // Earlier failed attempts' learning survives a successful retry.
+      outcome.traps.Merge(salvaged_);
+    }
+  }
+  outcome.attempt_errors = std::move(errors_);
+  outcome.attempts = job_.attempt;
+  outcome.degrade_level = job_.degrade_level;
+  return outcome;
+}
+
+RunOutcome AttemptLadder::Skip() {
+  RunOutcome skipped;
+  skipped.module_index = job_.module_index;
+  skipped.round = job_.round;
+  skipped.status = RunStatus::kSkipped;
+  skipped.attempts = job_.attempt - 1;  // attempts actually executed
+  skipped.degrade_level = job_.degrade_level;
+  skipped.error = "skipped: drain requested";
+  skipped.attempt_errors = std::move(errors_);
+  skipped.traps = std::move(salvaged_);  // keep failed-attempt learning
+  return skipped;
+}
+
+RunOutcome ExecuteWithRetries(const RunJob& job, const AttemptFn& attempt,
+                              tasks::ThreadPool& pool, const RetryPolicy& policy) {
+  AttemptLadder ladder(job, policy);
+  for (;;) {
+    ladder.Run(attempt, pool);
+    if (!ladder.ShouldRetry()) {
+      return ladder.Finish();
+    }
+    SleepMicros(ladder.Advance());
+  }
+}
 
 Scheduler::Scheduler(int workers, int pool_threads_per_worker)
     : pool_threads_per_worker_(pool_threads_per_worker > 0 ? pool_threads_per_worker
@@ -44,18 +131,16 @@ Scheduler::~Scheduler() {
 }
 
 std::vector<RunOutcome> Scheduler::ExecuteRound(const std::vector<RunJob>& jobs,
-                                                const JobFn& fn,
+                                                const AttemptFn& fn,
                                                 const RetryPolicy& policy,
                                                 const std::function<bool()>& interrupt) {
   std::vector<RunOutcome> outcomes(jobs.size());
   {
     std::lock_guard<std::mutex> lock(mu_);
     fn_ = &fn;
-    policy_ = policy;
-    policy_.max_attempts = std::max(policy.max_attempts, 1);
     outcomes_ = &outcomes;
     for (size_t i = 0; i < jobs.size(); ++i) {
-      queue_.push_back(QueuedJob{jobs[i], i, 0, {}, {}});
+      queue_.push_back(QueuedJob{AttemptLadder(jobs[i], policy), i, 0});
     }
     outstanding_ = jobs.size();
     if (drain_) {
@@ -115,18 +200,9 @@ bool Scheduler::draining() const {
 
 void Scheduler::DrainQueueLocked() {
   while (!queue_.empty()) {
-    QueuedJob item = std::move(queue_.front());
+    QueuedJob& item = queue_.front();
+    (*outcomes_)[item.slot] = item.ladder.Skip();
     queue_.pop_front();
-    RunOutcome skipped;
-    skipped.module_index = item.job.module_index;
-    skipped.round = item.job.round;
-    skipped.status = RunStatus::kSkipped;
-    skipped.attempts = item.job.attempt - 1;  // attempts actually executed
-    skipped.degrade_level = item.job.degrade_level;
-    skipped.error = "skipped: drain requested";
-    skipped.attempt_errors = std::move(item.errors);
-    skipped.traps = std::move(item.salvaged);  // keep failed-attempt learning
-    (*outcomes_)[item.slot] = std::move(skipped);
     --outstanding_;
   }
   if (outstanding_ == 0) {
@@ -134,10 +210,11 @@ void Scheduler::DrainQueueLocked() {
   }
 }
 
-bool Scheduler::NextJob(std::unique_lock<std::mutex>& lock, QueuedJob* out) {
+std::optional<Scheduler::QueuedJob> Scheduler::NextJob(
+    std::unique_lock<std::mutex>& lock) {
   for (;;) {
     if (shutdown_ && queue_.empty()) {
-      return false;
+      return std::nullopt;
     }
     if (!queue_.empty()) {
       const Micros now = NowMicros();
@@ -151,9 +228,9 @@ bool Scheduler::NextJob(std::unique_lock<std::mutex>& lock, QueuedJob* out) {
         }
       }
       if (ready != queue_.end()) {
-        *out = std::move(*ready);
+        std::optional<QueuedJob> next(std::move(*ready));
         queue_.erase(ready);
-        return true;
+        return next;
       }
       // Everything queued is still backing off: sleep until the earliest window
       // opens (or a new job / shutdown wakes us).
@@ -172,97 +249,46 @@ void Scheduler::WorkerLoop(int worker_index) {
   tasks::ThreadPool pool(pool_threads_per_worker_);
 
   for (;;) {
-    QueuedJob item;
-    const JobFn* fn = nullptr;
-    RetryPolicy policy;
+    std::optional<QueuedJob> item;
+    const AttemptFn* fn = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      if (!NextJob(lock, &item)) {
+      item = NextJob(lock);
+      if (!item) {
         return;
       }
       fn = fn_;
-      policy = policy_;
     }
 
-    RunOutcome outcome;
-    bool ok = false;
-    std::string error;
-    try {
-      outcome = (*fn)(item.job, pool);
-      ok = outcome.status == RunStatus::kOk;
-      if (!ok) {
-        error = outcome.error.empty() ? "run failed" : outcome.error;
-      }
-    } catch (const std::exception& e) {
-      error = e.what();
-    } catch (...) {
-      // A non-standard throw (int, const char*, ...) must degrade to a crashed
-      // outcome, not terminate the worker thread.
-      error = "non-standard exception";
-    }
+    item->ladder.Run(*fn, pool);
 
     std::unique_lock<std::mutex> lock(mu_);
-    if (!ok) {
-      item.errors.push_back("attempt " + std::to_string(item.job.attempt) + ": " +
-                            error);
-      // Failed sandbox attempts can still carry trap pairs salvaged from the
-      // child's atomic checkpoint; keep them across retries.
-      if (!outcome.traps.empty()) {
-        item.salvaged.Merge(outcome.traps);
-      }
-    }
-    if (!ok && item.job.attempt < policy.max_attempts && !drain_) {
+    if (item->ladder.ShouldRetry() && !drain_) {
       // Re-queue the crashed run for another attempt, like the fleet re-running a
-      // flaky test process — after an exponential-backoff window, and one step down
-      // the delay-degradation ladder if the watchdog killed it. outstanding_ is
-      // unchanged: the job is still pending. A drain stops this path: a retry is a
-      // new dispatch.
-      QueuedJob retry = std::move(item);
-      if (outcome.status == RunStatus::kTimedOut) {
-        ++retry.job.degrade_level;
-      }
-      retry.ready_at_us = NowMicros() + BackoffDelayUs(policy, retry.job.attempt);
-      ++retry.job.attempt;
-      queue_.push_back(std::move(retry));
+      // flaky test process, behind its backoff window so this worker runs other
+      // jobs meanwhile. outstanding_ is unchanged: the job is still pending. A
+      // drain stops this path: a retry is a new dispatch.
+      item->ready_at_us = NowMicros() + item->ladder.Advance();
+      queue_.push_back(std::move(*item));
       work_cv_.notify_one();
       continue;
     }
-    if (!ok) {
-      // Preserve whatever forensics the failed outcome carries (crash signature,
-      // fatal signal); an exception path synthesizes a crashed outcome.
-      if (outcome.status == RunStatus::kOk) {
-        outcome = RunOutcome{};
-        outcome.status = RunStatus::kCrashed;
-      }
-      outcome.module_index = item.job.module_index;
-      outcome.round = item.job.round;
-      outcome.error = error;
-      // Quarantine only a genuinely exhausted job. A drain that cut retries short
-      // leaves the job un-quarantined AND un-journaled: the uninterrupted campaign
-      // might have retried it successfully, so a resumed one re-runs it fresh.
-      outcome.quarantined = item.job.attempt >= policy.max_attempts;
-      outcome.observations.clear();
-      outcome.traps = std::move(item.salvaged);
-    } else if (!item.salvaged.empty()) {
-      // Earlier failed attempts' learning survives a successful retry.
-      outcome.traps.Merge(item.salvaged);
-    }
-    outcome.salvaged_trap_pairs = ok ? item.salvaged.size() : outcome.traps.size();
-    outcome.attempt_errors = std::move(item.errors);
-    outcome.attempts = item.job.attempt;
-    outcome.degrade_level = item.job.degrade_level;
+    // A drain that cut retries short leaves the job un-quarantined and
+    // un-journaled: the uninterrupted campaign might have retried it
+    // successfully, so a resumed one re-runs it fresh.
+    RunOutcome outcome = item->ladder.Finish();
 
     // Journal hook: runs off-lock (it fsyncs) but strictly before outstanding_
     // drops, so ExecuteRound cannot return with a completion still in flight.
     // Final outcomes only — never a drain-truncated failure (see above).
-    if (completion_ && (ok || outcome.quarantined)) {
+    if (completion_ && (outcome.status == RunStatus::kOk || outcome.quarantined)) {
       const CompletionFn completion = completion_;
       lock.unlock();
       completion(outcome);
       lock.lock();
     }
 
-    (*outcomes_)[item.slot] = std::move(outcome);
+    (*outcomes_)[item->slot] = std::move(outcome);
     if (--outstanding_ == 0) {
       done_cv_.notify_all();
     }

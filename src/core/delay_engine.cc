@@ -47,7 +47,7 @@ DelayEngine::~DelayEngine() {
   }
 }
 
-bool DelayEngine::Admit(ThreadId tid, Micros duration_us) {
+bool DelayEngine::Admit(ThreadId tid, Micros duration_us, RequestId request) {
   if (duration_us <= 0) {
     return false;
   }
@@ -80,6 +80,14 @@ bool DelayEngine::Admit(ThreadId tid, Micros duration_us) {
         return false;
       }
     }
+    if (config_.max_delay_per_request_us > 0 && request != kNoRequest) {
+      Micros& committed = request_committed_[request];
+      if (committed + duration_us > config_.max_delay_per_request_us) {
+        delays_skipped_budget_.fetch_add(1, std::memory_order_relaxed);
+        return false;
+      }
+      committed += duration_us;
+    }
     gov_reserved_us_ += duration_us;
   }
   if (budget != nullptr) {
@@ -88,24 +96,29 @@ bool DelayEngine::Admit(ThreadId tid, Micros duration_us) {
   return true;
 }
 
-void DelayEngine::Settle(ThreadId tid, Micros reserved_us, Micros slept_us) {
+void DelayEngine::Settle(ThreadId tid, RequestId request, Micros reserved_us,
+                         Micros slept_us) {
+  // Keep the larger of requested/actual committed: a sleep overshooting its
+  // deadline still counts in full, an early wake refunds the unslept tail.
+  const Micros unslept = std::max<Micros>(0, reserved_us - slept_us);
   {
     std::lock_guard<std::mutex> lock(gov_mu_);
     gov_reserved_us_ -= reserved_us;
     gov_spent_us_ += slept_us;
+    if (unslept > 0 && config_.max_delay_per_request_us > 0 && request != kNoRequest) {
+      request_committed_[request] -= unslept;
+    }
   }
   // Admit allocated this thread's budget slot if the budget is on.
   ThreadBudget* budget =
       config_.max_delay_per_thread_us > 0 ? thread_budgets_.Peek(tid) : nullptr;
-  if (budget != nullptr && slept_us < reserved_us) {
-    // Keep the larger of requested/actual committed: a sleep overshooting its
-    // deadline still counts in full, an early wake refunds the unslept tail.
-    budget->committed -= reserved_us - slept_us;
+  if (budget != nullptr) {
+    budget->committed -= unslept;
   }
 }
 
 ParkResult DelayEngine::Park(ThreadId tid, OpId op, Micros duration_us,
-                             const std::atomic<bool>* caught) {
+                             const std::atomic<bool>* caught, RequestId request) {
   injected_.fetch_add(1, std::memory_order_relaxed);
   ParkResult result;
   result.start_us = NowMicros();
@@ -118,7 +131,7 @@ ParkResult DelayEngine::Park(ThreadId tid, OpId op, Micros duration_us,
     if (shutdown_) {
       result.end_us = result.start_us;
       result.reason = WakeReason::kShutdown;
-      Settle(tid, duration_us, 0);
+      Settle(tid, request, duration_us, 0);
       return result;
     }
     MaybeStartSentinelLocked();
@@ -162,7 +175,7 @@ ParkResult DelayEngine::Park(ThreadId tid, OpId op, Micros duration_us,
     case WakeReason::kShutdown:
       break;
   }
-  Settle(tid, duration_us, slept);
+  Settle(tid, request, duration_us, slept);
   return result;
 }
 

@@ -17,8 +17,9 @@
 //      Either way it cancels all active parks, oldest first. The cancelled delay
 //      reports `conflict_found = false` upstream, so P_loc decays through the
 //      detector's ordinary failed-delay path.
-//   3. Governor: admission control extending the per-request budget machinery —
-//      a per-thread budget (`max_delay_per_thread_us`), a per-run aggregate budget
+//   3. Governor: admission control — a per-thread budget
+//      (`max_delay_per_thread_us`), a per-request budget (`max_delay_per_request_us`,
+//      shared by every thread of one logical request), a per-run aggregate budget
 //      (`max_delay_total_us`), and an adaptive overhead cap (`max_overhead_pct`):
 //      when injected-delay wall time would exceed that fraction of elapsed run time,
 //      new delays are skipped until the ratio recovers.
@@ -35,11 +36,13 @@
 #include <list>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 
 #include "src/common/clock.h"
 #include "src/common/config.h"
 #include "src/common/ids.h"
 #include "src/common/per_thread.h"
+#include "src/common/request_context.h"
 #include "src/core/thread_timeline.h"
 
 namespace tsvd {
@@ -68,10 +71,11 @@ class DelayEngine {
   DelayEngine& operator=(const DelayEngine&) = delete;
 
   // Admission control. On success the full duration is reserved against the
-  // per-thread, aggregate, and overhead budgets; Park() settles the reservation to
-  // the time actually slept. Every rejection bumps delays_skipped_budget. The
-  // caller must follow a successful Admit with Park on the same thread.
-  bool Admit(ThreadId tid, Micros duration_us);
+  // per-thread, per-request (`request`, unless kNoRequest), aggregate, and overhead
+  // budgets; Park() settles the reservation to the time actually slept. Every
+  // rejection bumps delays_skipped_budget. The caller must follow a successful
+  // Admit with Park on the same thread, passing the same request.
+  bool Admit(ThreadId tid, Micros duration_us, RequestId request = kNoRequest);
 
   // Parks the calling thread for up to duration_us or until woken early. Settles
   // the admission reservation on exit.
@@ -81,7 +85,8 @@ class DelayEngine {
   // between arming the trap and parking returns at once as a catch wake instead
   // of being lost and sleeping the full delay.
   ParkResult Park(ThreadId tid, OpId op, Micros duration_us,
-                  const std::atomic<bool>* caught = nullptr);
+                  const std::atomic<bool>* caught = nullptr,
+                  RequestId request = kNoRequest);
 
   // Wakes the park of `tid`, if any. Returns true if a parked thread was woken.
   // Used by the runtime's trap-conflict path: TrapRegistry::Conflict names the
@@ -109,13 +114,6 @@ class DelayEngine {
       last_progress_us_.store(now, std::memory_order_relaxed);
     }
     return self;
-  }
-
-  // Lets the runtime fold its own admission rejections (e.g. the per-request
-  // budget, which needs request TLS the engine has no business reading) into the
-  // same skip counter.
-  void NoteSkippedBudget() {
-    delays_skipped_budget_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // --- counters (stable once the run's tasks are quiescent) ---
@@ -157,7 +155,7 @@ class DelayEngine {
   void SentinelLoop();
   // Cancels all parks, oldest first. Caller holds mu_.
   size_t CancelAllLocked(WakeReason reason);
-  void Settle(ThreadId tid, Micros reserved_us, Micros slept_us);
+  void Settle(ThreadId tid, RequestId request, Micros reserved_us, Micros slept_us);
 
   const Config config_;
   const Micros run_start_us_;
@@ -169,10 +167,13 @@ class DelayEngine {
   std::list<Ticket*> parked_;  // insertion order == park order == oldest first
 
   // Governor accounting: reservations and settled spend, under their own mutex so
-  // admissions never contend with wakes.
+  // admissions never contend with wakes. Each request's committed delay is
+  // checked and reserved under it too, because threads of one request admit
+  // concurrently; a thread's own budget needs no lock.
   std::mutex gov_mu_;
   Micros gov_reserved_us_ = 0;
   Micros gov_spent_us_ = 0;
+  std::unordered_map<RequestId, Micros> request_committed_;
   PerThread<ThreadBudget> thread_budgets_;
 
   // Stall detection state. last_progress_us_ is the no-OnCall watermark, written

@@ -80,12 +80,9 @@ void Runtime::OnCallImpl(ObjectId obj, OpId op, OpKind kind, NearMissHandle* han
     // rejects this design).
     return;
   }
-  if (!RequestBudgetAllows(decision.duration_us)) {
-    engine_.NoteSkippedBudget();
-    return;
-  }
-  if (!engine_.Admit(tid, decision.duration_us)) {
-    return;  // per-thread / aggregate budget or overhead cap; engine counts it
+  const RequestId request = CurrentRequest();
+  if (!engine_.Admit(tid, decision.duration_us, request)) {
+    return;  // a thread, request or aggregate budget or the overhead cap; counted
   }
 
   // Arming rechecks for a trap armed since the check above, unless that check
@@ -99,8 +96,8 @@ void Runtime::OnCallImpl(ObjectId obj, OpId op, OpKind kind, NearMissHandle* han
   if (trap_arm_observer_) {
     trap_arm_observer_(op);
   }
-  const ParkResult park = engine_.Park(tid, op, decision.duration_us, &trap->hit);
-  ChargeRequestBudget(park.end_us - park.start_us);
+  const ParkResult park =
+      engine_.Park(tid, op, decision.duration_us, &trap->hit, request);
 
   const bool hit = traps_.Clear(trap);
   DelayOutcome outcome;
@@ -168,31 +165,6 @@ void Runtime::CatchTrapped(const TrapRegistry::Conflict& conflict, const Access&
   detector_->OnViolation(conflict.trapped_access, racing);
   if (!config_.disable_early_wake) {
     engine_.WakeThread(conflict.trapped_access.tid, WakeReason::kCatchWake);
-  }
-}
-
-bool Runtime::RequestBudgetAllows(Micros duration) {
-  if (config_.max_delay_per_request_us > 0) {
-    const RequestId request = CurrentRequest();
-    if (request != kNoRequest) {
-      RequestBudgetShard& shard = BudgetShardFor(request);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      if (shard.budgets[request] + duration > config_.max_delay_per_request_us) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-void Runtime::ChargeRequestBudget(Micros spent) {
-  if (config_.max_delay_per_request_us > 0) {
-    const RequestId request = CurrentRequest();
-    if (request != kNoRequest) {
-      RequestBudgetShard& shard = BudgetShardFor(request);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.budgets[request] += spent;
-    }
   }
 }
 

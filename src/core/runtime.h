@@ -15,7 +15,6 @@
 
 #include <atomic>
 #include <functional>
-#include <unordered_map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -23,7 +22,6 @@
 
 #include "src/common/config.h"
 #include "src/common/execution_context.h"
-#include "src/common/padded.h"
 #include "src/common/request_context.h"
 #include "src/core/delay_engine.h"
 #include "src/core/detector.h"
@@ -141,24 +139,7 @@ class Runtime {
   // Records the bug, tells the detector, and wakes the trapped thread: the rest of
   // its sleep is pure overhead now that the bug is on record.
   void CatchTrapped(const TrapRegistry::Conflict& conflict, const Access& racing);
-  bool RequestBudgetAllows(Micros duration);
-  void ChargeRequestBudget(Micros spent);
   void RecordInternalError() noexcept;
-
-  // Per-request delay budgets, sharded by request id so concurrent delaying threads
-  // of different requests do not serialize on one mutex. 64-way so a 64-thread run
-  // where every thread carries its own request keeps roughly one request per shard.
-  static constexpr size_t kRequestBudgetShards = 64;
-  struct alignas(kCacheLineSize) RequestBudgetShard {
-    std::mutex mu;
-    std::unordered_map<RequestId, Micros> budgets;
-  };
-  static_assert(sizeof(RequestBudgetShard) % kCacheLineSize == 0 &&
-                    alignof(RequestBudgetShard) == kCacheLineSize,
-                "budget shards must not straddle a neighbor's cache line");
-  RequestBudgetShard& BudgetShardFor(RequestId request) {
-    return request_budget_shards_[Mix64(request) % kRequestBudgetShards];
-  }
 
   Config config_;
   std::unique_ptr<Detector> detector_;
@@ -177,10 +158,6 @@ class Runtime {
   std::atomic<uint64_t> sync_events_{0};
   std::atomic<uint64_t> internal_errors_{0};
   std::atomic<bool> disabled_{false};
-
-  // Per-thread and aggregate delay budgets live in the engine's governor; the
-  // per-request budget stays here because it needs the request TLS.
-  RequestBudgetShard request_budget_shards_[kRequestBudgetShards];
 
   static std::atomic<Runtime*> current_;
 

@@ -250,10 +250,7 @@ AgentResult RunAgent(const AgentOptions& agent_options) {
 
   tasks::ThreadPool pool(options.pool_threads_per_worker);
 
-  campaign::RetryPolicy retry;
-  retry.max_attempts = options.max_attempts;
-  retry.backoff_base_ms = options.sandbox.backoff_base_ms;
-  retry.backoff_cap_ms = options.sandbox.backoff_cap_ms;
+  const campaign::RetryPolicy retry = campaign::RetryPolicyFor(options);
 
   TrapFile cached_traps;
   uint64_t cached_version = 0;
@@ -346,10 +343,12 @@ AgentResult RunAgent(const AgentOptions& agent_options) {
     RunJob job;
     job.module_index = static_cast<int>(module_index->as_int());
     job.round = static_cast<int>(round->as_int());
-    job.attempt = 1;
-    job.degrade_level = 0;
-    RunOutcome outcome =
-        campaign::ExecuteWithRetries(executor, job, cached_traps, &pool, retry);
+    RunOutcome outcome = campaign::ExecuteWithRetries(
+        job,
+        [&](const RunJob& attempt, tasks::ThreadPool& attempt_pool) {
+          return executor.Execute(attempt, cached_traps, &attempt_pool);
+        },
+        pool, retry);
     if (outcome.module.empty() && outcome.module_index >= 0 &&
         outcome.module_index < static_cast<int>(corpus.size())) {
       outcome.module = corpus[outcome.module_index].name;

@@ -391,6 +391,9 @@ bool FleetCoordinator::Restore(TrapFile traps, std::string* error) {
 }
 
 int FleetCoordinator::workers() const {
+  if (options_.campaign.workers > 0) {
+    return options_.campaign.workers;
+  }
   std::lock_guard<std::mutex> lock(mu_);
   return static_cast<int>(stats_.agents_joined);
 }

@@ -39,8 +39,9 @@ namespace tsvd::fleet {
 
 struct FleetOptions {
   // Campaign identity and execution policy; shipped to agents verbatim (minus
-  // process-local fields). `campaign.workers` is ignored — the fleet's
-  // parallelism is its agent count. `campaign.out_dir`, `resume`,
+  // process-local fields). `campaign.workers` is the configured agent count,
+  // reported as the campaign's "workers" (0: agents join from outside, and the
+  // report counts those that said hello). `campaign.out_dir`, `resume`,
   // `journal_snapshot_every`, and `interrupt` keep their single-process meaning,
   // applied at the coordinator.
   campaign::CampaignOptions campaign;

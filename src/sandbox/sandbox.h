@@ -26,25 +26,17 @@
 namespace tsvd::sandbox {
 
 // How the campaign isolates and retries runs. `enabled = false` (the default, and
-// the only mode on non-fork platforms) keeps every run in-process.
+// the only mode on non-fork platforms) keeps every run in-process. The rest of the
+// retry ladder — the backoff cap and the delay-degradation steps after a timed-out
+// attempt — is fixed (src/campaign/scheduler.cc, run_executor.cc).
 struct SandboxPolicy {
   bool enabled = false;
   // Per-attempt wall-clock deadline enforced by the parent's watchdog; <= 0 disables
   // the watchdog (the child can then only die by crashing or finishing).
   int run_timeout_ms = 30'000;
   // Exponential retry backoff: the first re-run waits backoff_base_ms, doubling per
-  // subsequent attempt, capped at backoff_cap_ms. 0 retries immediately.
+  // subsequent attempt, capped at 2 s. 0 retries immediately.
   int backoff_base_ms = 50;
-  int backoff_cap_ms = 2'000;
-  // Graceful degradation after a timed-out attempt: each degrade level multiplies
-  // delay_us by degrade_delay_factor and tightens max_delay_per_thread_us by
-  // degrade_budget_factor (an unlimited budget is first pinned to
-  // initial_budget_delays * delay_us), so a retried run injects less total delay and
-  // converges instead of thrashing against the watchdog.
-  double degrade_delay_factor = 0.5;
-  double degrade_budget_factor = 0.5;
-  int initial_budget_delays = 32;  // budget seed when the config had no cap
-  Micros min_delay_us = 1'000;     // degradation floor for delay_us
 };
 
 // True when this build can fork sandbox children (POSIX).

@@ -13,15 +13,20 @@
 
 namespace tsvd::workload {
 
+// The per-thread delay budget, in full-length delays (Section 4, runtime feature
+// (2)): ScaledConfig derives it from the scaled delay, and a campaign's delay
+// override keeps the same ratio.
+inline constexpr int kBudgetDelaysPerThread = 20;
+
 // `scale` multiplies the paper's time-valued defaults (1.0 = deployed settings).
 inline Config ScaledConfig(double scale = 0.02) {
   Config cfg;
   cfg.nearmiss_window_us = static_cast<Micros>(100'000 * scale);
   cfg.delay_us = static_cast<Micros>(100'000 * scale);
-  // Section 4, runtime feature (2): cap the delay injected per thread per run so
-  // instrumented tests cannot time out. Random techniques routinely saturate this
-  // budget on cold, sequential sites; targeted techniques never come close.
-  cfg.max_delay_per_thread_us = 20 * cfg.delay_us;
+  // Cap the delay injected per thread per run so instrumented tests cannot time
+  // out. Random techniques routinely saturate this budget on cold, sequential
+  // sites; targeted techniques never come close.
+  cfg.max_delay_per_thread_us = kBudgetDelaysPerThread * cfg.delay_us;
   // The sentinel grace period scales with everything else: it must stay an order of
   // magnitude above the delay length so healthy delays never look like stalls.
   cfg.stall_grace_us = static_cast<Micros>(500'000 * scale);

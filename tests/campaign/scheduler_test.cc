@@ -15,6 +15,9 @@
 namespace tsvd::campaign {
 namespace {
 
+// No backoff, so retries run at once.
+RetryPolicy Attempts(int max_attempts) { return RetryPolicy{max_attempts, 0}; }
+
 std::vector<RunJob> MakeJobs(int n, int round = 1) {
   std::vector<RunJob> jobs;
   for (int i = 0; i < n; ++i) {
@@ -36,7 +39,7 @@ TEST(SchedulerTest, OutcomesComeBackInJobOrder) {
         outcome.module_index = job.module_index;
         outcome.round = job.round;
         return outcome;
-      });
+      }, Attempts(2), {});
 
   ASSERT_EQ(outcomes.size(), jobs.size());
   for (size_t i = 0; i < outcomes.size(); ++i) {
@@ -59,7 +62,7 @@ TEST(SchedulerTest, JobsRunInParallelAcrossWorkers) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     --concurrent;
     return RunOutcome{};
-  });
+  }, Attempts(2), {});
 
   // With 4 workers and 20ms jobs, at least two must have overlapped.
   EXPECT_GE(peak.load(), 2);
@@ -83,7 +86,7 @@ TEST(SchedulerTest, ThrownJobIsRetriedAndSucceeds) {
         outcome.module_index = job.module_index;
         return outcome;
       },
-      /*max_attempts=*/2);
+      Attempts(2), {});
 
   ASSERT_EQ(outcomes.size(), 6u);
   for (const RunOutcome& outcome : outcomes) {
@@ -106,7 +109,7 @@ TEST(SchedulerTest, JobExhaustingAttemptsIsReportedCrashedNotDropped) {
         outcome.module_index = job.module_index;
         return outcome;
       },
-      /*max_attempts=*/3);
+      Attempts(3), {});
 
   ASSERT_EQ(outcomes.size(), 4u);
   EXPECT_EQ(outcomes[2].status, RunStatus::kCrashed);
@@ -126,7 +129,7 @@ TEST(SchedulerTest, SchedulerIsReusableAcrossRounds) {
           outcome.module_index = job.module_index;
           outcome.round = job.round;
           return outcome;
-        });
+        }, Attempts(2), {});
     ASSERT_EQ(outcomes.size(), 5u);
     EXPECT_EQ(outcomes[4].round, round);
   }
@@ -136,7 +139,8 @@ TEST(SchedulerTest, SchedulerIsReusableAcrossRounds) {
 TEST(SchedulerTest, EmptyRoundReturnsImmediately) {
   Scheduler scheduler(/*workers=*/2);
   std::vector<RunOutcome> outcomes = scheduler.ExecuteRound(
-      {}, [](const RunJob&, tasks::ThreadPool&) { return RunOutcome{}; });
+      {}, [](const RunJob&, tasks::ThreadPool&) { return RunOutcome{}; },
+      Attempts(2), {});
   EXPECT_TRUE(outcomes.empty());
 }
 
@@ -152,7 +156,7 @@ TEST(SchedulerTest, NonStdThrowIsCapturedNotFatal) {
         outcome.module_index = job.module_index;
         return outcome;
       },
-      /*max_attempts=*/1);
+      Attempts(1), {});
 
   ASSERT_EQ(outcomes.size(), 3u);
   EXPECT_EQ(outcomes[1].status, RunStatus::kCrashed);
@@ -177,7 +181,7 @@ TEST(SchedulerTest, NonOkOutcomeTriggersRetryLikeAThrow) {
         }
         return outcome;
       },
-      /*max_attempts=*/2);
+      Attempts(2), {});
 
   EXPECT_EQ(calls.load(), 2);
   ASSERT_EQ(outcomes.size(), 1u);
@@ -196,7 +200,7 @@ TEST(SchedulerTest, EveryFailedAttemptErrorIsRecorded) {
       [](const RunJob& job, tasks::ThreadPool&) -> RunOutcome {
         throw std::runtime_error("boom attempt " + std::to_string(job.attempt));
       },
-      /*max_attempts=*/3);
+      Attempts(3), {});
 
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(outcomes[0].status, RunStatus::kCrashed);
@@ -211,7 +215,8 @@ TEST(SchedulerTest, EveryFailedAttemptErrorIsRecorded) {
 TEST(SchedulerTest, SuccessfulRunIsNeverQuarantined) {
   Scheduler scheduler(/*workers=*/1);
   std::vector<RunOutcome> outcomes = scheduler.ExecuteRound(
-      MakeJobs(1), [](const RunJob&, tasks::ThreadPool&) { return RunOutcome{}; });
+      MakeJobs(1), [](const RunJob&, tasks::ThreadPool&) { return RunOutcome{}; },
+      Attempts(2), {});
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_FALSE(outcomes[0].quarantined);
 }
@@ -233,7 +238,7 @@ TEST(SchedulerTest, TimedOutAttemptRetriesDownTheDegradationLadder) {
         outcome.error = "watchdog";
         return outcome;
       },
-      /*max_attempts=*/3);
+      Attempts(3), {});
 
   // Every timed-out retry stepped the ladder: 0, 1, 2.
   EXPECT_EQ(levels_seen, (std::vector<int>{0, 1, 2}));
@@ -250,7 +255,7 @@ TEST(SchedulerTest, CrashRetriesDoNotDegrade) {
         EXPECT_EQ(job.degrade_level, 0);  // only timeouts walk the ladder
         throw std::runtime_error("crash");
       },
-      /*max_attempts=*/3);
+      Attempts(3), {});
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(outcomes[0].degrade_level, 0);
 }
@@ -260,10 +265,7 @@ TEST(SchedulerTest, RetryWaitsOutTheExponentialBackoffWindow) {
   std::mutex mu;
   std::vector<Micros> attempt_times;
 
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.backoff_base_ms = 60;
-  policy.backoff_cap_ms = 2000;
+  const RetryPolicy policy{/*max_attempts=*/3, /*backoff_base_ms=*/60};
 
   scheduler.ExecuteRound(
       MakeJobs(1),
@@ -272,7 +274,7 @@ TEST(SchedulerTest, RetryWaitsOutTheExponentialBackoffWindow) {
         attempt_times.push_back(NowMicros());
         throw std::runtime_error("always");
       },
-      policy);
+      policy, {});
 
   ASSERT_EQ(attempt_times.size(), 3u);
   // Attempt 2 waits >= base (60ms), attempt 3 >= 2*base (120ms). Allow scheduling
@@ -289,9 +291,7 @@ TEST(SchedulerTest, BackoffDoesNotBlockOtherJobs) {
   std::vector<int> completion_order;
   std::atomic<int> failures{0};
 
-  RetryPolicy policy;
-  policy.max_attempts = 2;
-  policy.backoff_base_ms = 150;
+  const RetryPolicy policy{/*max_attempts=*/2, /*backoff_base_ms=*/150};
 
   scheduler.ExecuteRound(
       MakeJobs(4),
@@ -306,7 +306,7 @@ TEST(SchedulerTest, BackoffDoesNotBlockOtherJobs) {
         outcome.module_index = job.module_index;
         return outcome;
       },
-      policy);
+      policy, {});
 
   EXPECT_EQ(failures.load(), 1);
   ASSERT_EQ(completion_order.size(), 4u);
@@ -334,7 +334,7 @@ TEST(SchedulerTest, SalvagedTrapsFromFailedAttemptsSurviveIntoFinalOutcome) {
         }
         return outcome;
       },
-      /*max_attempts=*/2);
+      Attempts(2), {});
 
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(outcomes[0].status, RunStatus::kOk);
@@ -357,7 +357,7 @@ TEST(SchedulerTest, SalvagedTrapsAccumulateAcrossAllFailedAttempts) {
         outcome.traps.Canonicalize();
         return outcome;
       },
-      /*max_attempts=*/3);
+      Attempts(3), {});
 
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(outcomes[0].status, RunStatus::kCrashed);
@@ -383,7 +383,7 @@ TEST(SchedulerTest, FinalFailurePreservesSandboxForensics) {
         outcome.crash_signature = "SIGSEGV in phase 'test:2:dict'";
         return outcome;
       },
-      /*max_attempts=*/1);
+      Attempts(1), {});
 
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(outcomes[0].module, "victim");
@@ -407,7 +407,7 @@ TEST(SchedulerTest, RequestDrainSkipsQueuedJobsAndFinishesInFlight) {
         RunOutcome outcome;
         outcome.module_index = job.module_index;
         return outcome;
-      });
+      }, Attempts(2), {});
 
   ASSERT_EQ(outcomes.size(), 4u);
   EXPECT_EQ(outcomes[0].status, RunStatus::kOk);  // in-flight ran to its end
@@ -436,7 +436,7 @@ TEST(SchedulerTest, DrainCutsRetriesWithoutQuarantining) {
         scheduler.RequestDrain();
         throw std::runtime_error("failed while draining");
       },
-      /*max_attempts=*/3);
+      Attempts(3), {});
 
   // The drain turned the failure final without retries — but since the job never
   // exhausted its attempts it is NOT quarantined and NOT committed: a resumed
@@ -449,11 +449,51 @@ TEST(SchedulerTest, DrainCutsRetriesWithoutQuarantining) {
   EXPECT_EQ(completions.load(), 0);
 }
 
+TEST(SchedulerTest, DrainDuringBackoffSkipsTheRetryWithoutQuarantining) {
+  // The job's first attempt crashes with a salvaged pair and its retry waits out
+  // a 10 s backoff; the drain lands inside that window.
+  Scheduler scheduler(/*workers=*/1, /*pool_threads_per_worker=*/1);
+  std::atomic<int> attempts_run{0};
+  std::atomic<int> completions{0};
+  std::atomic<Micros> failed_at{0};
+  scheduler.SetCompletionCallback([&](const RunOutcome&) { ++completions; });
+
+  std::vector<RunOutcome> outcomes = scheduler.ExecuteRound(
+      MakeJobs(1),
+      [&](const RunJob& job, tasks::ThreadPool&) {
+        ++attempts_run;
+        RunOutcome outcome;
+        outcome.module_index = job.module_index;
+        outcome.status = RunStatus::kCrashed;
+        outcome.error = "child died";
+        outcome.traps.pairs = {{"a.cc:1 Get", "a.cc:2 Set"}};
+        outcome.traps.Canonicalize();
+        failed_at = NowMicros();
+        return outcome;
+      },
+      RetryPolicy{/*max_attempts=*/3, /*backoff_base_ms=*/10'000},
+      /*interrupt=*/[&] {
+        const Micros failed = failed_at.load();
+        return failed != 0 && NowMicros() - failed > 100'000;
+      });
+
+  // The retry never ran; the job is skipped, not quarantined and not committed,
+  // and it keeps its one failed attempt's error and salvaged pair.
+  EXPECT_EQ(attempts_run.load(), 1);
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].status, RunStatus::kSkipped);
+  EXPECT_FALSE(outcomes[0].quarantined);
+  EXPECT_EQ(outcomes[0].attempts, 1);
+  ASSERT_EQ(outcomes[0].attempt_errors.size(), 1u);
+  EXPECT_EQ(outcomes[0].attempt_errors[0], "attempt 1: child died");
+  EXPECT_TRUE(outcomes[0].traps.Contains("a.cc:1 Get", "a.cc:2 Set"));
+  EXPECT_EQ(completions.load(), 0);
+}
+
 TEST(SchedulerTest, InterruptPollTriggersDrainMidRound) {
   Scheduler scheduler(/*workers=*/1, /*pool_threads_per_worker=*/1);
   std::atomic<bool> stop{false};
 
-  RetryPolicy policy;
   std::vector<RunOutcome> outcomes = scheduler.ExecuteRound(
       MakeJobs(4),
       [&](const RunJob& job, tasks::ThreadPool&) {
@@ -466,7 +506,7 @@ TEST(SchedulerTest, InterruptPollTriggersDrainMidRound) {
         outcome.module_index = job.module_index;
         return outcome;
       },
-      policy, /*interrupt=*/[&] { return stop.load(); });
+      Attempts(2), /*interrupt=*/[&] { return stop.load(); });
 
   ASSERT_EQ(outcomes.size(), 4u);
   EXPECT_EQ(outcomes[0].status, RunStatus::kOk);
@@ -485,7 +525,7 @@ TEST(SchedulerTest, DrainedSchedulerDispatchesNothingInLaterRounds) {
       MakeJobs(3), [&](const RunJob&, tasks::ThreadPool&) {
         ++dispatched;
         return RunOutcome{};
-      });
+      }, Attempts(2), {});
 
   EXPECT_EQ(dispatched.load(), 0);
   ASSERT_EQ(outcomes.size(), 3u);
@@ -516,7 +556,7 @@ TEST(SchedulerTest, CompletionCallbackFiresPerFinalOutcome) {
         outcome.module_index = job.module_index;
         return outcome;
       },
-      /*max_attempts=*/2);
+      Attempts(2), {});
 
   // Exactly one commit per job, at its final outcome only (no commit per retry).
   std::lock_guard<std::mutex> lock(mu);

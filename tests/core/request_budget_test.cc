@@ -5,12 +5,14 @@
 // max_overhead_pct of wall time.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <random>
 #include <thread>
 #include <vector>
 
 #include "src/common/clock.h"
 #include "src/common/request_context.h"
+#include "src/core/delay_engine.h"
 #include "src/core/runtime.h"
 #include "src/tasks/task.h"
 
@@ -79,6 +81,56 @@ TEST(RequestBudgetTest, CapsDelayAcrossThreadsOfOneRequest) {
   second.join();
 
   EXPECT_EQ(runtime.Summary().delays_injected, 1u);
+}
+
+TEST(RequestBudgetTest, ConcurrentThreadsOfOneRequestAreHeldToTheCap) {
+  // Four threads of one request delay at the same moment on distinct objects: the
+  // first 3 ms reservation fits under 5 ms, the other three must be refused at
+  // admission, not after the first park has ended.
+  constexpr int kThreads = 4;
+  for (int trial = 0; trial < 5; ++trial) {
+    Config cfg;
+    cfg.stall_grace_us = 0;
+    cfg.max_delay_per_request_us = 5000;
+    Runtime runtime(cfg, std::make_unique<AlwaysDelayDetector>(3000));
+    RequestScope request;
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t, id = request.id()] {
+        ScopedRequest scope(id);
+        ++ready;
+        while (ready.load() < kThreads) {
+        }
+        runtime.OnCall(0x100 + t, static_cast<OpId>(t), OpKind::kWrite);
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    const RunSummary summary = runtime.Summary();
+    EXPECT_EQ(summary.delays_injected, 1u) << "trial " << trial;
+    EXPECT_EQ(summary.delays_skipped_budget, static_cast<uint64_t>(kThreads - 1))
+        << "trial " << trial;
+  }
+}
+
+TEST(RequestBudgetTest, EarlyWakeRefundsTheUnsleptTail) {
+  // A 3 ms reservation woken at once leaves room for a second 3 ms delay of the
+  // same request under a 5 ms cap.
+  Config cfg;
+  cfg.stall_grace_us = 0;
+  cfg.max_delay_per_request_us = 5000;
+  DelayEngine engine(cfg);
+  const RequestId request = NewRequestId();
+  ASSERT_TRUE(engine.Admit(1, 3000, request));
+  std::atomic<bool> caught{true};  // the catch landed before the park began
+  EXPECT_EQ(engine.Park(1, 7, 3000, &caught, request).reason, WakeReason::kCatchWake);
+  EXPECT_TRUE(engine.Admit(2, 3000, request));
+  engine.Park(2, 7, 3000, nullptr, request);
+  EXPECT_FALSE(engine.Admit(3, 3000, request));
+  EXPECT_TRUE(engine.Admit(3, 3000, NewRequestId()));  // another request: its own cap
+  engine.Park(3, 7, 3000);
 }
 
 TEST(RequestBudgetTest, IndependentRequestsHaveIndependentBudgets) {

@@ -30,11 +30,6 @@ CampaignOptions DistinctiveOptions() {
   options.sandbox.enabled = true;
   options.sandbox.run_timeout_ms = 1234;
   options.sandbox.backoff_base_ms = 7;
-  options.sandbox.backoff_cap_ms = 99;
-  options.sandbox.degrade_delay_factor = 0.25;
-  options.sandbox.degrade_budget_factor = 0.75;
-  options.sandbox.initial_budget_delays = 11;
-  options.sandbox.min_delay_us = 13;
   options.fault_crash_modules = 1;
   options.fault_hang_modules = 2;
   options.fault_throw_modules = 3;
@@ -66,13 +61,6 @@ TEST(FleetProtocolTest, OptionsRoundTripPreservesEveryShippedField) {
   EXPECT_EQ(got.sandbox.enabled, sent.sandbox.enabled);
   EXPECT_EQ(got.sandbox.run_timeout_ms, sent.sandbox.run_timeout_ms);
   EXPECT_EQ(got.sandbox.backoff_base_ms, sent.sandbox.backoff_base_ms);
-  EXPECT_EQ(got.sandbox.backoff_cap_ms, sent.sandbox.backoff_cap_ms);
-  EXPECT_DOUBLE_EQ(got.sandbox.degrade_delay_factor,
-                   sent.sandbox.degrade_delay_factor);
-  EXPECT_DOUBLE_EQ(got.sandbox.degrade_budget_factor,
-                   sent.sandbox.degrade_budget_factor);
-  EXPECT_EQ(got.sandbox.initial_budget_delays, sent.sandbox.initial_budget_delays);
-  EXPECT_EQ(got.sandbox.min_delay_us, sent.sandbox.min_delay_us);
   EXPECT_EQ(got.fault_crash_modules, sent.fault_crash_modules);
   EXPECT_EQ(got.fault_hang_modules, sent.fault_hang_modules);
   EXPECT_EQ(got.fault_throw_modules, sent.fault_throw_modules);

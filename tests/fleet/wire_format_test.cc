@@ -168,11 +168,6 @@ CampaignOptions FullOptions() {
   options.sandbox.enabled = true;
   options.sandbox.run_timeout_ms = 1234;
   options.sandbox.backoff_base_ms = 7;
-  options.sandbox.backoff_cap_ms = 99;
-  options.sandbox.degrade_delay_factor = 0.25;
-  options.sandbox.degrade_budget_factor = 0.75;
-  options.sandbox.initial_budget_delays = 11;
-  options.sandbox.min_delay_us = 13;
   options.fault_crash_modules = 1;
   options.fault_hang_modules = 2;
   options.fault_throw_modules = 3;
@@ -222,7 +217,21 @@ constexpr char kOutcome[] =
     R"json("retrapped_imported":3,"round":3,"runtime_disabled":true,)json"
     R"json("salvaged_trap_pairs":2,"status":"timed_out","traps":[["a.cc:10 ContainsKey",)json"
     R"json("a.cc:20 Set"],["b.cc:5 Add","b.cc:9 Remove"]],"wall_us":123456})json";
+// The shipped options: the text below with the five retired retry-tuning keys
+// (backoff_cap_ms, degrade_budget_factor, degrade_delay_factor,
+// initial_budget_delays, min_delay_us) taken out by hand.
 constexpr char kOptions[] =
+    R"json({"backoff_base_ms":7,"buggy_module_fraction":0.45,)json"
+    R"json("delay_us_override":555,"detector":"TSVD-golden","fault_crash_modules":1,)json"
+    R"json("fault_deadlock_modules":4,"fault_hang_modules":2,"fault_throw_modules":3,)json"
+    R"json("max_attempts":3,"max_internal_errors":9,)json"
+    R"json("max_overhead_pct":12.5,"num_modules":17,)json"
+    R"json("pool_threads_per_worker":6,"rounds":5,"run_timeout_ms":1234,)json"
+    R"json("sandbox_enabled":true,"scale":0.0375,"seed":-9223372036854775807,)json"
+    R"json("stall_grace_us":666,"stop_when_converged":false})json";
+// What a coordinator that still shipped the retired keys sends; they are now
+// constants, and the values here are ignored.
+constexpr char kOptionsWithRetiredKeys[] =
     R"json({"backoff_base_ms":7,"backoff_cap_ms":99,"buggy_module_fraction":0.45,)json"
     R"json("degrade_budget_factor":0.75,"degrade_delay_factor":0.25,)json"
     R"json("delay_us_override":555,"detector":"TSVD-golden","fault_crash_modules":1,)json"
@@ -487,6 +496,15 @@ TEST(WireFormatTest, BugObservationRejectsEveryMistypedField) {
     doc.Set("observations", std::move(observations));
     ExpectOutcomeRejected(doc, key);
   });
+}
+
+TEST(WireFormatTest, CampaignOptionsWithRetiredKeysStillDecode) {
+  CampaignOptions decoded;
+  std::string error;
+  ASSERT_TRUE(fleet::DecodeCampaignOptions(ParseGolden(kOptionsWithRetiredKeys), &decoded,
+                                           &error))
+      << error;
+  EXPECT_EQ(fleet::EncodeCampaignOptions(decoded).Dump(), kOptions);
 }
 
 TEST(WireFormatTest, CampaignOptionsRejectEveryMistypedField) {

@@ -82,11 +82,17 @@ TEST(InternTest, RecentSiteCacheCollisionsFallThroughToTheMemo) {
   // 512 distinct sites (one source location, 512 API names) against the 256-slot
   // direct-mapped cache: slots collide and evict each other, and every lookup,
   // first or repeated, must still return the OpId the registry interned.
+  // The memo keys on the api pointer, so the names live as long as the process,
+  // as real callers' literals do: names freed between --gtest_repeat passes would
+  // come back at the same addresses with other text.
   const std::source_location loc = std::source_location::current();
-  std::vector<std::string> apis;
-  for (int i = 0; i < 512; ++i) {
-    apis.push_back("Intern.CollisionProbe#" + std::to_string(i));
-  }
+  static const std::vector<std::string> apis = [] {
+    std::vector<std::string> names;
+    for (int i = 0; i < 512; ++i) {
+      names.push_back("Intern.CollisionProbe#" + std::to_string(i));
+    }
+    return names;
+  }();
   std::vector<OpId> first;
   for (const std::string& api : apis) {
     first.push_back(internal::InternCached(loc, api.c_str(), OpKind::kRead));

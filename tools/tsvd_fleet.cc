@@ -263,6 +263,7 @@ int main(int argc, char** argv) {
   fleet::FleetOptions options;
   options.campaign = tools::ParseCampaignFlags(flags, "fleet-out");
   const int agents = static_cast<int>(flags.GetInt("agents", 4, 0, 256));
+  options.campaign.workers = agents;
   options.lease_timeout_ms =
       static_cast<int>(flags.GetInt("lease_timeout_ms", 30000, 100, 3600000));
   options.agent_idle_timeout_ms =
